@@ -115,8 +115,8 @@ let bench_dispatch_tick () =
       Host.Internal.dispatch_tick host ())
 
 (* Capped domains with the 30 ms accounting refill folded in — the cadence
-   a simulated host actually runs.  Informational (the refill path builds
-   quotas from floats), not part of the zero-alloc gate. *)
+   a simulated host actually runs.  The refill copies each domain's cached
+   full-period quota, so this path is gated at 0 words/op too. *)
 let bench_dispatch_tick_capped () =
   let host = make_host (contended_domains ()) in
   let scheduler = Host.scheduler host in
@@ -219,6 +219,60 @@ let bench_credit_charge () =
   measure ~name:"credit/charge" ~ops:100_000 ~warmup:1_000 (fun () ->
       scheduler.Scheduler.charge ~domain ~now ~used)
 
+(* 24 domains, the density of a consolidated PAS host: a capped dom0 and
+   23 capped guests of which one in three has work.  Each op is one pick
+   and the charge of what it picked, with the 30 ms refill folded in every
+   300 ops, so the scans see quota exhaustion and rotation. *)
+let bench_credit_pick_dense () =
+  let domains =
+    Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:10.0 (Workloads.Workload.idle ())
+    :: List.init 23 (fun i ->
+           let w =
+             if i mod 3 = 0 then Workloads.Workload.busy_loop () else Workloads.Workload.idle ()
+           in
+           Domain.create ~name:(Printf.sprintf "g%d" i) ~credit_pct:3.5 w)
+  in
+  let scheduler = Sched_credit.create domains in
+  let exclude = Scheduler.Mask.create () in
+  let now = Sim_time.zero and remaining = Sim_time.of_ms 1 in
+  let used = Sim_time.of_us 100 in
+  let ops = ref 0 in
+  measure ~name:"credit/pick-dense" ~ops:100_000 ~warmup:1_000 (fun () ->
+      incr ops;
+      if !ops mod 300 = 0 then scheduler.Scheduler.on_account_period ~now;
+      match scheduler.Scheduler.pick ~now ~remaining ~exclude with
+      | Some slice -> scheduler.Scheduler.charge ~domain:slice.Scheduler.domain ~now ~used
+      | None -> ())
+
+let bench_credit_account () =
+  let scheduler = Sched_credit.create ~host_capacity:4 (contended_domains ()) in
+  let now = Sim_time.zero in
+  measure ~name:"credit/account" ~ops:100_000 ~warmup:1_000 (fun () ->
+      scheduler.Scheduler.on_account_period ~now)
+
+(* A phased deterministic web guest advanced tick by tick, with a client
+   timeout so the backlog (nobody serves it here) stays bounded: each op
+   runs the segment lookup, expiry and request injection. *)
+let bench_web_advance () =
+  let app =
+    Workloads.Web_app.create ~timeout:(Sim_time.of_ms 200)
+      ~rate_schedule:
+        [ (Sim_time.zero, 0.3); (Sim_time.of_sec 1, 0.9); (Sim_time.of_sec 1_000, 0.0) ]
+      ()
+  in
+  let w = Workloads.Web_app.workload app in
+  let now = ref Sim_time.zero and dt = Sim_time.of_ms 1 in
+  measure ~name:"web/advance" ~ops:100_000 ~warmup:2_000 (fun () ->
+      now := Sim_time.add !now dt;
+      Workloads.Workload.advance w ~now:!now ~dt)
+
+let bench_pi_advance () =
+  let app = Workloads.Pi_app.create ~duty_cycle:0.5 ~work:1e9 () in
+  let w = Workloads.Pi_app.workload app in
+  let now = Sim_time.zero and dt = Sim_time.of_ms 1 in
+  measure ~name:"pi/advance" ~ops:100_000 ~warmup:1_000 (fun () ->
+      Workloads.Workload.advance w ~now ~dt)
+
 let bench_frame_csv () =
   let frame = Series.Frame.create () in
   for j = 0 to 3 do
@@ -247,6 +301,10 @@ let all_benches =
     bench_openloop_step;
     bench_credit_pick;
     bench_credit_charge;
+    bench_credit_pick_dense;
+    bench_credit_account;
+    bench_web_advance;
+    bench_pi_advance;
     bench_frame_csv;
   ]
 
@@ -260,6 +318,7 @@ let all_benches =
 let zero_alloc_roots =
   [
     ("host/dispatch-tick", "Host.dispatch_tick");
+    ("host/dispatch-tick-capped", "Host.dispatch_tick");
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");
@@ -269,6 +328,10 @@ let zero_alloc_roots =
     ("openloop/step", "Open_loop.step");
     ("credit/pick", "Sched_credit.pick");
     ("credit/charge", "Sched_credit.charge");
+    ("credit/pick-dense", "Sched_credit.pick");
+    ("credit/account", "Sched_credit.on_account_period");
+    ("web/advance", "Web_app.advance");
+    ("pi/advance", "Pi_app.advance");
   ]
 
 let zero_alloc_names = List.map fst zero_alloc_roots

@@ -33,9 +33,11 @@ let time_with_credit ~t_init ~c_init ~c_new =
     invalid_arg "Equations.time_with_credit: credits must be positive";
   t_init *. c_init /. c_new
 
-let compensated_credit ~initial ~ratio ~cf =
+let compensation_divisor ~ratio ~cf =
   check_speed ratio cf;
-  initial /. (ratio *. cf)
+  ratio *. cf
+
+let compensated_credit ~initial ~ratio ~cf = initial /. compensation_divisor ~ratio ~cf
 
 let can_absorb table calibration freq ~absolute_load =
   let ratio = Frequency.ratio table freq in
@@ -43,16 +45,13 @@ let can_absorb table calibration freq ~absolute_load =
   ratio *. 100.0 *. cf > absolute_load
 
 (* Listing 1.1, iterating the frequency table in ascending order. *)
+let rec first_absorbing table calibration ~absolute_load i =
+  if i >= Frequency.count table then Frequency.max_freq table
+  else begin
+    let f = Frequency.nth table i in
+    if can_absorb table calibration f ~absolute_load then f
+    else first_absorbing table calibration ~absolute_load (i + 1)
+  end
+
 let compute_new_freq table calibration ~absolute_load =
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if can_absorb table calibration f ~absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
+  first_absorbing table calibration ~absolute_load 0

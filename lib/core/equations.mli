@@ -38,6 +38,12 @@ val compensated_credit : initial:float -> ratio:float -> cf:float -> float
     [C_j = C_init / (ratio_i * cf_i)].  May exceed 100.
     @raise Invalid_speed if [ratio * cf] is not positive. *)
 
+val compensation_divisor : ratio:float -> cf:float -> float
+(** [ratio * cf], the divisor of Eq. (4): [compensated_credit ~initial
+    ~ratio ~cf] is exactly [initial /. compensation_divisor ~ratio ~cf].
+    Lets a caller rescaling many credits check and compute it once.
+    @raise Invalid_speed if [ratio * cf] is not positive. *)
+
 val can_absorb :
   Cpu_model.Frequency.table ->
   Cpu_model.Calibration.t ->

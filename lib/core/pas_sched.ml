@@ -22,7 +22,8 @@ let inv_credit_bounds =
 
 type t = {
   processor : Processor.t;
-  credit : Scheduler.t; (* the underlying Credit scheduler *)
+  credit_state : Sched_credit.t; (* the underlying Credit scheduler... *)
+  credit : Scheduler.t; (* ...and its plug-in record *)
   domains : Domain.t list;
   window : float array; (* ring of the last 3 utilization samples *)
   mutable filled : int;
@@ -98,13 +99,11 @@ let evaluate t ~now ~busy_fraction =
   let new_freq = Equations.compute_new_freq table calibration ~absolute_load in
   let ratio = Cpu_model.Frequency.ratio table new_freq in
   let cf = Cpu_model.Calibration.cf calibration table new_freq in
-  List.iter
-    (fun d ->
-      let initial = Domain.initial_credit d in
-      if initial > 0.0 then
-        t.credit.Scheduler.set_effective_credit d
-          (Equations.compensated_credit ~initial ~ratio ~cf))
-    t.domains;
+  (* Listing 1.2 over every capped domain, in one pass over the Credit
+     scheduler's states: [initial /. divisor] is Eq. 4's
+     [compensated_credit] to the bit. *)
+  Sched_credit.rescale_capped t.credit_state
+    ~divisor:(Equations.compensation_divisor ~ratio ~cf);
   if new_freq <> Processor.current_freq t.processor then
     t.frequency_decisions <- t.frequency_decisions + 1;
   Processor.set_freq t.processor ~now new_freq;
@@ -112,10 +111,12 @@ let evaluate t ~now ~busy_fraction =
 
 let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) ~processor
     domains =
-  let credit = Sched_credit.create ~account_period domains in
+  let credit_state = Sched_credit.make ~account_period domains in
+  let credit = Sched_credit.scheduler credit_state in
   let t =
     {
       processor;
+      credit_state;
       credit;
       domains;
       window = Array.make 3 0.0;

@@ -9,19 +9,25 @@ let create freqs =
   let levels = List.sort_uniq Int.compare freqs in
   { levels = Array.of_list levels }
 
+(* [levels] hands out a copy so callers cannot corrupt the table; lookups
+   inside this module walk [t.levels] with top-level loops, so a governor
+   or PAS evaluation allocates neither a copy nor a closure. *)
 let levels t = Array.copy t.levels
 let count t = Array.length t.levels
 let min_freq t = t.levels.(0)
 let max_freq t = t.levels.(Array.length t.levels - 1)
-let mem t f = Array.exists (Int.equal f) t.levels
 
-let index_of t f =
-  let rec loop i =
-    if i >= Array.length t.levels then raise Not_found
-    else if t.levels.(i) = f then i
-    else loop (i + 1)
-  in
-  loop 0
+let rec mem_from levels f i =
+  i < Array.length levels && (levels.(i) = f || mem_from levels f (i + 1))
+
+let mem t f = mem_from t.levels f 0
+
+let rec index_from levels f i =
+  if i >= Array.length levels then raise Not_found
+  else if levels.(i) = f then i
+  else index_from levels f (i + 1)
+
+let index_of t f = index_from t.levels f 0
 
 let nth t i =
   if i < 0 || i >= Array.length t.levels then invalid_arg "Frequency.nth: out of range";
@@ -31,14 +37,16 @@ let ratio t f =
   if not (mem t f) then raise Not_found;
   float_of_int f /. float_of_int (max_freq t)
 
-let closest t f =
-  let best = ref t.levels.(0) in
-  Array.iter
-    (fun level ->
-      let d = abs (level - f) and bd = abs (!best - f) in
-      if d < bd || (d = bd && level < !best) then best := level)
-    t.levels;
-  !best
+let rec closest_from levels f best i =
+  if i >= Array.length levels then best
+  else begin
+    let level = levels.(i) in
+    let d = abs (level - f) and bd = abs (best - f) in
+    let best = if d < bd || (d = bd && level < best) then level else best in
+    closest_from levels f best (i + 1)
+  end
+
+let closest t f = closest_from t.levels f t.levels.(0) 0
 
 let next_up t f =
   let i = index_of t f in

@@ -32,6 +32,11 @@ val speed : t -> float
 
 val speed_at : t -> Frequency.mhz -> float
 
+val lowest_sufficient : t -> threshold:float -> absolute_load:float -> Frequency.mhz
+(** The lowest level [f], in ascending order, with
+    [speed_at t f *. threshold >= absolute_load]; the maximum frequency if
+    none qualifies.  The ondemand-style level search, without allocating. *)
+
 val work_in : t -> Sim_time.t -> float
 (** Absolute work completed by running flat-out for the given duration at
     the current frequency. *)

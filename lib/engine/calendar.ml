@@ -16,7 +16,10 @@
    - elements whose key precedes the window (possible only through caller
      misuse; the simulator never schedules in the past) are clamped into
      the bucket at [base]: each bucket is a heap ordered by the full [cmp],
-     so ordering within the minimal bucket survives clamping. *)
+     so ordering within the minimal bucket survives clamping.
+   - a slot holding the shared [empty] heap has never been pushed to; it is
+     replaced by a heap of its own on first use, so creating a calendar
+     costs one array rather than [n_buckets] heaps. *)
 
 let n_buckets = 256
 let slot_mask = n_buckets - 1
@@ -24,16 +27,21 @@ let shift = 10 (* 1024 key units per bucket: one dispatch quantum at 1 us/unit *
 
 type 'a t = {
   key : 'a -> int;
+  cmp : 'a -> 'a -> int;
   buckets : 'a Heap.t array;
+  empty : 'a Heap.t; (* never pushed to: the placeholder of unused slots *)
   overflow : 'a Heap.t;
   mutable base : int; (* virtual bucket index of the window start *)
   mutable size : int; (* wheel + overflow *)
 }
 
 let create ~key ~cmp =
+  let empty = Heap.create ~cmp in
   {
     key;
-    buckets = Array.init n_buckets (fun _ -> Heap.create ~cmp);
+    cmp;
+    buckets = Array.make n_buckets empty;
+    empty;
     overflow = Heap.create ~cmp;
     base = 0;
     size = 0;
@@ -42,13 +50,25 @@ let create ~key ~cmp =
 let length t = t.size
 let is_empty t = t.size = 0
 
+(* Each slot gets its own heap the first time an element lands in it:
+   at most [n_buckets] times over a calendar's life. *)
+(* alloc: cold *)
+let[@inline never] materialize t slot =
+  let h = Heap.create ~cmp:t.cmp in
+  t.buckets.(slot) <- h;
+  h
+
+let bucket t slot =
+  let h = t.buckets.(slot) in
+  if h == t.empty then materialize t slot else h
+
 (* alloc: none *)
 let push t x =
   let vb = t.key x lsr shift in
   if vb - t.base >= n_buckets then Heap.push t.overflow x
   else begin
     let vb = if vb < t.base then t.base else vb in
-    Heap.push t.buckets.(vb land slot_mask) x
+    Heap.push (bucket t (vb land slot_mask)) x
   end;
   t.size <- t.size + 1
 
@@ -61,7 +81,7 @@ let migrate t =
     (not (Heap.is_empty t.overflow)) && t.key (Heap.top_exn t.overflow) lsr shift < horizon
   do
     let x = Heap.pop_exn t.overflow in
-    Heap.push t.buckets.(t.key x lsr shift land slot_mask) x
+    Heap.push (bucket t (t.key x lsr shift land slot_mask)) x
   done
 
 (* First non-empty wheel slot at or after the window start, advancing

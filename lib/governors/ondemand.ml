@@ -1,23 +1,6 @@
 module Processor = Cpu_model.Processor
 module Frequency = Cpu_model.Frequency
 
-(* Lowest frequency whose delivered speed keeps the given absolute load
-   under the threshold; the maximum frequency if none does. *)
-let lowest_sufficient processor ~absolute_load ~threshold =
-  let table = Processor.freq_table processor in
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if Processor.speed_at processor f *. threshold >= absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
-
 let create ?(period = Sim_time.of_ms 5) ?(up_threshold = 0.8) ?floor processor =
   if not (up_threshold > 0.0 && up_threshold <= 1.0) then
     invalid_arg "Ondemand.create: up_threshold out of (0, 1]";
@@ -32,7 +15,7 @@ let create ?(period = Sim_time.of_ms 5) ?(up_threshold = 0.8) ?floor processor =
          load tracking. *)
       let absolute_load = busy_fraction *. Processor.speed processor in
       Processor.set_freq processor ~now
-        (clamp (lowest_sufficient processor ~absolute_load ~threshold:up_threshold))
+        (clamp (Processor.lowest_sufficient processor ~threshold:up_threshold ~absolute_load))
     end;
     Governor.check_freq ~name:"ondemand" processor ~now
   in

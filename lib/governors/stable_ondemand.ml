@@ -31,26 +31,14 @@ let create ?(period = Sim_time.of_ms 100) ?(up_threshold = 0.8) ?(stability = 3)
     done;
     !sum /. float_of_int n
   in
-  let desired_level absolute_load =
-    let levels = Frequency.levels table in
-    let chosen = ref (Frequency.max_freq table) in
-    (try
-       Array.iter
-         (fun f ->
-           if Processor.speed_at processor f *. up_threshold >= absolute_load then begin
-             chosen := f;
-             raise Exit
-           end)
-         levels
-     with Exit -> ());
-    !chosen
-  in
   let observe ~now ~busy_fraction =
     st.window.(st.next) <- busy_fraction;
     st.next <- (st.next + 1) mod Array.length st.window;
     if st.filled < Array.length st.window then st.filled <- st.filled + 1;
     let absolute_load = mean_util () *. Processor.speed processor in
-    let desired = desired_level absolute_load in
+    let desired =
+      Processor.lowest_sufficient processor ~threshold:up_threshold ~absolute_load
+    in
     let current = Processor.current_freq processor in
     if desired = current then begin
       st.agreement <- 0;

@@ -38,6 +38,12 @@ let weight t = t.weight
 let is_dom0 t = t.is_dom0
 let vcpus t = t.vcpus
 let workload t = t.workload
+
+let advancing ds =
+  Array.of_list
+    (List.filter Workloads.Workload.advances (List.map (fun d -> d.workload) ds))
+
+let may_run t = Workloads.Workload.may_work t.workload
 let runnable t = Workloads.Workload.has_work t.workload
 let cpu_time t = t.cpu_time
 let charge t used = t.cpu_time <- Sim_time.add t.cpu_time used

@@ -47,8 +47,18 @@ val vcpus : t -> int
 
 val workload : t -> Workloads.Workload.t
 
+val advancing : t list -> Workloads.Workload.t array
+(** The workloads of the given domains, in order, leaving out those made
+    without an [advance] (see {!Workloads.Workload.advances}): the set a
+    dispatch tick must advance.  Fixed at creation, since a workload's
+    [advance] never changes. *)
+
 val runnable : t -> bool
 (** The domain has work it would execute if scheduled now. *)
+
+val may_run : t -> bool
+(** False when the domain's workload can never have work
+    ({!Workloads.Workload.may_work}): {!runnable} is then always false. *)
 
 val cpu_time : t -> Sim_time.t
 (** Cumulative CPU time granted by the hypervisor. *)

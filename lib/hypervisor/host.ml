@@ -36,7 +36,7 @@ type t = {
   global_series : Series.t;
   absolute_series : Series.t;
   domain_metrics : domain_metrics array;
-  doms : Domain.t array; (* the scheduler's domain set, cached at creation *)
+  advancing : Workloads.Workload.t array; (* see {!Domain.advancing} *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
   scratch : Series.cell; (* box-free sample hand-off, reused every sample *)
   mutable probe_last_busy : Sim_time.t; (* shared window/governor probe state *)
@@ -132,8 +132,8 @@ let dispatch_tick t () =
   let current = now t in
   let quantum = t.config.quantum in
   let speed = Processor.speed t.processor in
-  for i = 0 to Array.length t.doms - 1 do
-    Workloads.Workload.advance (Domain.workload t.doms.(i)) ~now:current ~dt:quantum
+  for i = 0 to Array.length t.advancing - 1 do
+    Workloads.Workload.advance t.advancing.(i) ~now:current ~dt:quantum
   done;
   Scheduler.Mask.clear t.exclude;
   let busy = tick_loop t ~current ~speed ~remaining:quantum ~busy:Sim_time.zero in
@@ -213,7 +213,7 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
       global_series = Series.create ~name:"global_load";
       absolute_series = Series.create ~name:"absolute_load";
       domain_metrics;
-      doms;
+      advancing = Domain.advancing (Array.to_list doms);
       exclude = Scheduler.Mask.create ();
       scratch = Series.cell ();
       probe_last_busy = Sim_time.zero;

@@ -1,14 +1,21 @@
 module Mask = struct
-  (* One byte per domain id.  Domain ids are small sequential ints, so a
-     Bytes buffer doubles as a dense set with O(1) membership and a
-     [Bytes.fill] clear; the host reuses one mask for every dispatch tick,
-     so the hot path never allocates. *)
-  type t = { mutable bits : Bytes.t }
+  (* One byte per domain id, plus the list of ids set since the last
+     clear.  Domain ids are small sequential ints, so the Bytes buffer is a
+     dense set with O(1) membership; but ids are process-global, so the
+     buffer grows with every domain the process ever created, and [clear]
+     resets only the touched bytes.  A tick's clear then costs what that
+     tick added, not the process history.  The host reuses one mask for
+     every dispatch tick, so the hot path never allocates. *)
+  type t = {
+    mutable bits : Bytes.t;
+    mutable touched : int array; (* ids set since the last clear *)
+    mutable n_touched : int;
+  }
 
-  let create () = { bits = Bytes.make 64 '\000' }
+  let create () = { bits = Bytes.make 64 '\000'; touched = Array.make 16 0; n_touched = 0 }
 
-  (* The mask doubles O(log n) times as domain ids grow; the per-tick add
-     pays only the length test. *)
+  (* The buffers double O(log n) times as domain ids and per-tick
+     exclusions grow; the per-tick add pays only the length tests. *)
   (* alloc: cold *)
   let[@inline never] grow t want =
     let cap = ref (Bytes.length t.bits) in
@@ -19,12 +26,27 @@ module Mask = struct
     Bytes.blit t.bits 0 bigger 0 (Bytes.length t.bits);
     t.bits <- bigger
 
-  let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+  (* alloc: cold *)
+  let[@inline never] grow_touched t =
+    let bigger = Array.make (2 * Array.length t.touched) 0 in
+    Array.blit t.touched 0 bigger 0 t.n_touched;
+    t.touched <- bigger
+
+  let clear t =
+    for i = 0 to t.n_touched - 1 do
+      Bytes.set t.bits t.touched.(i) '\000'
+    done;
+    t.n_touched <- 0
 
   let add t d =
     let id = Domain.id d in
     if id >= Bytes.length t.bits then grow t id;
-    Bytes.set t.bits id '\001'
+    if Bytes.get t.bits id = '\000' then begin
+      Bytes.set t.bits id '\001';
+      if t.n_touched = Array.length t.touched then grow_touched t;
+      t.touched.(t.n_touched) <- id;
+      t.n_touched <- t.n_touched + 1
+    end
 
   let mem t d =
     let id = Domain.id d in

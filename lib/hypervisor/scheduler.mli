@@ -24,7 +24,8 @@ module Mask : sig
   (** Fresh empty mask.  Grows on demand; no domain-count up front. *)
 
   val clear : t -> unit
-  (** Remove every member (the per-tick reset). *)
+  (** Remove every member (the per-tick reset).  Costs the number of
+      members added since the last clear, however large the ids. *)
 
   val add : t -> Domain.t -> unit
   val mem : t -> Domain.t -> bool

@@ -8,21 +8,17 @@ type dvfs_policy = {
   decide : now:Sim_time.t -> domain:int -> core_utils:float array -> unit;
 }
 
+let rec lowest_sufficient_from table cal ~absolute_load ~threshold i =
+  if i >= Frequency.count table then Frequency.max_freq table
+  else begin
+    let f = Frequency.nth table i in
+    if Calibration.effective_speed cal table f *. threshold >= absolute_load then f
+    else lowest_sufficient_from table cal ~absolute_load ~threshold (i + 1)
+  end
+
 let lowest_sufficient smp ~absolute_load ~threshold =
-  let table = Smp.freq_table smp in
-  let cal = (Smp.arch smp).Cpu_model.Arch.calibration in
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if Calibration.effective_speed cal table f *. threshold >= absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
+  lowest_sufficient_from (Smp.freq_table smp)
+    (Smp.arch smp).Cpu_model.Arch.calibration ~absolute_load ~threshold 0
 
 let ondemand_max_core ?(up_threshold = 0.8) smp ~period =
   let table = Smp.freq_table smp in
@@ -72,6 +68,7 @@ type t = {
   quantum : Sim_time.t;
   sample_period : Sim_time.t;
   doms : domain_state array;
+  advancing : Workloads.Workload.t array; (* see {!Domain.advancing} *)
   core_busy : Sim_time.t array;
   freq_series : Series.t array; (* one per DVFS domain *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
@@ -144,9 +141,10 @@ let dispatch_tick t () =
   let current = now t in
   let quantum = t.quantum in
   for i = 0 to Array.length t.doms - 1 do
-    let st = t.doms.(i) in
-    st.tick_used <- Sim_time.zero;
-    Workloads.Workload.advance (Domain.workload st.domain) ~now:current ~dt:quantum
+    t.doms.(i).tick_used <- Sim_time.zero
+  done;
+  for i = 0 to Array.length t.advancing - 1 do
+    Workloads.Workload.advance t.advancing.(i) ~now:current ~dt:quantum
   done;
   Scheduler.Mask.clear t.exclude;
   for core = 0 to Smp.cores t.smp - 1 do
@@ -205,6 +203,7 @@ let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
       quantum;
       sample_period;
       doms;
+      advancing = Domain.advancing (scheduler.Scheduler.domains ());
       core_busy = Array.make (Smp.cores smp) Sim_time.zero;
       freq_series =
         Array.init (Smp.domain_count smp) (fun i ->

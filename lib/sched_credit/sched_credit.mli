@@ -20,15 +20,42 @@
     manipulates; the PAS policy rescales it as the frequency moves, while
     the {e initial} credit remains the sold SLA. *)
 
-val create :
+type t
+(** A Credit scheduler's state, for callers that drive it beyond the
+    {!Hypervisor.Scheduler.t} record (PAS rescales every cap in one pass). *)
+
+val make :
   ?account_period:Sim_time.t ->
   ?host_capacity:int ->
   ?boost:bool ->
   Hypervisor.Domain.t list ->
-  Hypervisor.Scheduler.t
+  t
 (** [account_period] must equal the host's accounting period (default
     30 ms) — quotas are refilled on {!Hypervisor.Scheduler.t.on_account_period}.
     [host_capacity] is the host's core count (default 1): a credit is a
     percentage of the {e whole} host, so quotas scale with it.
     @raise Invalid_argument on duplicate domains, a zero period, or
     [host_capacity < 1]. *)
+
+val scheduler : t -> Hypervisor.Scheduler.t
+(** The plug-in record over [t]; every call shares the same state. *)
+
+val create :
+  ?account_period:Sim_time.t ->
+  ?host_capacity:int ->
+  ?boost:bool ->
+  Hypervisor.Domain.t list ->
+  Hypervisor.Scheduler.t
+(** [scheduler (make ...)]. *)
+
+val rescale_capped : t -> divisor:float -> unit
+(** Sets every capped domain's effective credit to [initial /. divisor],
+    in domain order, exactly as one {!Hypervisor.Scheduler.t.set_effective_credit}
+    call per domain would (same sanitizer check, same in-flight quota
+    adjustment) but in a single pass with no per-domain lookup.
+    Uncapped domains are left alone.
+    @raise Invalid_argument if a resulting credit is negative. *)
+
+val rr_pointers : t -> int * int * int
+(** The capped, boost and uncapped round-robin pointers, in that order —
+    internal state exposed for differential tests. *)

@@ -167,7 +167,7 @@ let free_prims =
     "Int.compare"; "Int.equal"; "Int.min"; "Int.max"; "Int.abs";
     "Int64.to_int"; "Char.code";
     "Float.compare"; "Float.equal"; "Float.is_nan"; "Float.is_finite";
-    "Float.is_integer"; "Float.of_int"; "Float.to_int";
+    "Float.is_integer"; "Float.of_int"; "Float.to_int"; "Float.round";
     "Mutex.lock"; "Mutex.unlock";
     "Queue.is_empty"; "Queue.length"; "Queue.peek"; "Queue.pop"; "Queue.take";
     "Queue.clear";

@@ -282,6 +282,8 @@ let analyze ~sources g =
   let n = List.length nodes in
   let boundary = boundary_keys ~sources g in
   let entries = Callgraph.entry_keys g in
+  (* One line table per file, shared by every node of that file. *)
+  let waived_in = List.map (fun (file, content) -> (file, waived_line content)) sources in
   let base = Array.make (max n 1) Host_confined in
   let witnesses = Array.make (max n 1) [] in
   let labels = Array.make (max n 1) S.empty in
@@ -338,8 +340,8 @@ let analyze ~sources g =
       in
       let ws = ref [] in
       let waived =
-        match List.assoc_opt funit.Callgraph.ufile sources with
-        | Some content -> waived_line content
+        match List.assoc_opt funit.Callgraph.ufile waived_in with
+        | Some waived -> waived
         | None -> fun _ -> false
       in
       let witness wrule wline wdesc =

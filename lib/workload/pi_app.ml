@@ -28,9 +28,20 @@ let create ?(duty_cycle = 1.0) ~work () =
     finish_time = None;
   }
 
+(* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f] ([to_us] and
+   [of_us] are the identity on the int representation, so the results are
+   bit-identical); the cross-library calls would box a float on every tick
+   (dev builds compile with -opaque). *)
+let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
+
+let[@inline always] of_sec_f s =
+  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
+  Sim_time.of_us (int_of_float (Float.round (s *. 1e6)))
+
+(* alloc: none *)
 let advance t ~now:_ ~dt =
   if t.progress.remaining > 0.0 then begin
-    let earned = Sim_time.of_sec_f (t.duty_cycle *. Sim_time.to_sec dt) in
+    let earned = of_sec_f (t.duty_cycle *. sec_of dt) in
     t.tokens <- Sim_time.min token_cap (Sim_time.add t.tokens earned)
   end
 
@@ -43,11 +54,11 @@ let execute t ~now ~cpu_time ~speed =
     (* Round the finishing slice up to the clock resolution, otherwise a
        residue smaller than one microsecond of work could never complete. *)
     let time_to_finish =
-      Sim_time.max (Sim_time.of_us 1) (Sim_time.of_sec_f (t.progress.remaining /. speed))
+      Sim_time.max (Sim_time.of_us 1) (of_sec_f (t.progress.remaining /. speed))
     in
     let used = Sim_time.min cpu_time (Sim_time.min t.tokens time_to_finish) in
     t.tokens <- Sim_time.sub t.tokens used;
-    t.progress.remaining <- t.progress.remaining -. (Sim_time.to_sec used *. speed);
+    t.progress.remaining <- t.progress.remaining -. (sec_of used *. speed);
     if t.progress.remaining <= 1e-9 then begin
       t.progress.remaining <- 0.0;
       match t.finish_time with

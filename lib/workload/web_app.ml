@@ -1,7 +1,5 @@
 type arrival = Deterministic | Poisson of Prng.t
 
-type request = { arrived : Sim_time.t; mutable remaining : float }
-
 (* The per-tick float counters live in an all-float sub-record so the
    advance/execute hot paths store into a flat float block instead of
    boxing a fresh float per update of a mixed record. *)
@@ -11,17 +9,25 @@ type acc = {
   mutable completed_work : float;
 }
 
+(* The FIFO work queue is a ring of parallel arrays — arrival instant and
+   remaining absolute work per request — so injecting and serving requests
+   moves ints and raw floats and allocates nothing outside the O(log n)
+   capacity doublings. *)
 type t = {
   request_work : float;
   arrival : arrival;
   timeout : Sim_time.t option;
   schedule : (Sim_time.t * float) array;
-  queue : request Queue.t;
+  mutable arrived : Sim_time.t array; (* ring: arrival instant *)
+  mutable remaining : float array; (* ring: absolute work still to serve *)
+  mutable head : int; (* monotonic cursors; slot = cursor land (cap - 1) *)
+  mutable tail : int;
   acc : acc;
   mutable injected : int;
   mutable completed : int;
   mutable timed_out : int;
   response : Stats.Running.t;
+  scratch : Vec.Floats.cell; (* box-free response-time hand-off, reused *)
 }
 
 let validate_schedule schedule =
@@ -48,85 +54,131 @@ let create ?(request_work = 0.005) ?(arrival = Deterministic) ?timeout ~rate_sch
     arrival;
     timeout;
     schedule = Array.of_list rate_schedule;
-    queue = Queue.create ();
+    arrived = [||];
+    remaining = [||];
+    head = 0;
+    tail = 0;
     acc = { carry = 0.0; injected_work = 0.0; completed_work = 0.0 };
     injected = 0;
     completed = 0;
     timed_out = 0;
     response = Stats.Running.create ();
+    scratch = Vec.Floats.cell ();
   }
 
-let current_rate t ~now =
-  let rate = ref 0.0 in
-  for i = 0 to Array.length t.schedule - 1 do
-    let time, r = t.schedule.(i) in
-    if Sim_time.compare time now <= 0 then rate := r
+(* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f] ([to_us] and
+   [of_us] are the identity on the int representation, so the results are
+   bit-identical); the cross-library calls would box a float on every tick
+   (dev builds compile with -opaque). *)
+let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
+
+let[@inline always] of_sec_f s =
+  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
+  Sim_time.of_us (int_of_float (Float.round (s *. 1e6)))
+
+(* Index of the schedule segment in force at [now] (the last entry whose
+   time is not after it), or -1 before the first entry.  The schedule is
+   sorted strictly by time, so the scan stops at the first later entry. *)
+let rec segment_from schedule now i =
+  if i < Array.length schedule && Sim_time.compare (fst schedule.(i)) now <= 0 then
+    segment_from schedule now (i + 1)
+  else i - 1
+
+let[@inline always] rate_of t seg = if seg < 0 then 0.0 else snd t.schedule.(seg)
+
+let current_rate t ~now = rate_of t (segment_from t.schedule now 0)
+
+let queue_length t = t.tail - t.head
+let[@inline always] slot t cursor = cursor land (Array.length t.remaining - 1)
+
+(* The ring starts empty (a guest that never receives a request costs
+   nothing) and doubles O(log n) times over the queue's life; the
+   steady-state enqueue pays only the occupancy test. *)
+(* alloc: cold *)
+let[@inline never] grow t =
+  let cap = Array.length t.remaining in
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let arrived = Array.make ncap Sim_time.zero in
+  let remaining = Array.make ncap 0.0 in
+  for i = 0 to cap - 1 do
+    let j = (t.head + i) land (cap - 1) in
+    arrived.(i) <- t.arrived.(j);
+    remaining.(i) <- t.remaining.(j)
   done;
-  !rate
+  t.arrived <- arrived;
+  t.remaining <- remaining;
+  t.head <- 0;
+  t.tail <- cap
 
 let inject t ~now n =
   for _ = 1 to n do
-    Queue.push { arrived = now; remaining = t.request_work } t.queue;
+    if queue_length t = Array.length t.remaining then grow t;
+    let i = slot t t.tail in
+    t.arrived.(i) <- now;
+    t.remaining.(i) <- t.request_work;
+    t.tail <- t.tail + 1;
     t.injected <- t.injected + 1;
     t.acc.injected_work <- t.acc.injected_work +. t.request_work
   done
 
+(* Poisson arrivals draw from the boxed-state Prng by construction. *)
+(* alloc: cold *)
+let[@inline never] inject_poisson t rng ~now ~expected =
+  inject t ~now (Prng.poisson rng ~mean:expected)
+
 (* Drop queued requests older than the timeout (httperf clients give up);
    the head of the queue may be in service, but a real client's abandonment
    aborts the request wherever it is. *)
-let expire t ~now =
-  match t.timeout with
-  | None -> ()
-  | Some limit ->
-      let continue = ref true in
-      while (not (Queue.is_empty t.queue)) && !continue do
-        let req = Queue.peek t.queue in
-        if Sim_time.compare (Sim_time.diff now req.arrived) limit > 0 then begin
-          ignore (Queue.pop t.queue);
-          t.timed_out <- t.timed_out + 1
-        end
-        else continue := false
-      done
+let rec expire t ~now limit =
+  if queue_length t > 0
+     && Sim_time.compare (Sim_time.diff now t.arrived.(slot t t.head)) limit > 0
+  then begin
+    t.head <- t.head + 1;
+    t.timed_out <- t.timed_out + 1;
+    expire t ~now limit
+  end
 
+(* alloc: none *)
 let advance t ~now ~dt =
-  expire t ~now;
-  let rate = current_rate t ~now in
+  (match t.timeout with None -> () | Some limit -> expire t ~now limit);
+  let rate = rate_of t (segment_from t.schedule now 0) in
   if rate > 0.0 then begin
-    let expected = rate *. Sim_time.to_sec dt /. t.request_work in
+    let expected = rate *. sec_of dt /. t.request_work in
     match t.arrival with
     | Deterministic ->
         t.acc.carry <- t.acc.carry +. expected;
         let n = int_of_float t.acc.carry in
         t.acc.carry <- t.acc.carry -. float_of_int n;
         inject t ~now n
-    | Poisson rng -> inject t ~now (Prng.poisson rng ~mean:expected)
+    | Poisson rng -> inject_poisson t rng ~now ~expected
   end
 
-let has_work t () = not (Queue.is_empty t.queue)
+let has_work t () = queue_length t > 0
 
 let execute t ~now ~cpu_time ~speed =
-  let budget = ref (Sim_time.to_sec cpu_time *. speed) in
+  let budget = ref (sec_of cpu_time *. speed) in
   let used_work = ref 0.0 in
   let continue = ref true in
-  while !continue && not (Queue.is_empty t.queue) do
-    let req = Queue.peek t.queue in
-    if req.remaining <= !budget then begin
-      budget := !budget -. req.remaining;
-      used_work := !used_work +. req.remaining;
-      req.remaining <- 0.0;
-      ignore (Queue.pop t.queue);
+  while !continue && queue_length t > 0 do
+    let i = slot t t.head in
+    let remaining = t.remaining.(i) in
+    if remaining <= !budget then begin
+      budget := !budget -. remaining;
+      used_work := !used_work +. remaining;
+      t.head <- t.head + 1;
       t.completed <- t.completed + 1;
       t.acc.completed_work <- t.acc.completed_work +. t.request_work;
-      Stats.Running.add t.response (Sim_time.to_sec now -. Sim_time.to_sec req.arrived)
+      t.scratch.Vec.Floats.value <- sec_of now -. sec_of t.arrived.(i);
+      Stats.Running.add_cell t.response t.scratch
     end
     else begin
-      req.remaining <- req.remaining -. !budget;
+      t.remaining.(i) <- remaining -. !budget;
       used_work := !used_work +. !budget;
       budget := 0.0;
       continue := false
     end
   done;
-  Sim_time.min cpu_time (Sim_time.of_sec_f (!used_work /. speed))
+  Sim_time.min cpu_time (of_sec_f (!used_work /. speed))
 
 let workload t =
   Workload.make ~name:"web-app" ~advance:(fun ~now ~dt -> advance t ~now ~dt)
@@ -134,9 +186,12 @@ let workload t =
     ~execute:(fun ~now ~cpu_time ~speed -> execute t ~now ~cpu_time ~speed)
     ()
 
-let queue_length t = Queue.length t.queue
-
-let queued_work t = Queue.fold (fun acc req -> acc +. req.remaining) 0.0 t.queue
+let queued_work t =
+  let sum = ref 0.0 in
+  for c = t.head to t.tail - 1 do
+    sum := !sum +. t.remaining.(slot t c)
+  done;
+  !sum
 
 let injected_requests t = t.injected
 let completed_requests t = t.completed

@@ -5,11 +5,17 @@ type t = {
   execute : now:Sim_time.t -> cpu_time:Sim_time.t -> speed:float -> Sim_time.t;
 }
 
-let make ~name ?(advance = fun ~now:_ ~dt:_ -> ()) ~has_work ~execute () =
+(* The one default [advance]: every workload built without an [advance]
+   shares this closure, so a host can tell by physical equality that
+   advancing it would do nothing. *)
+let no_advance ~now:_ ~dt:_ = ()
+
+let make ~name ?(advance = no_advance) ~has_work ~execute () =
   { name; advance; has_work; execute }
 
 let name t = t.name
 let advance t ~now ~dt = t.advance ~now ~dt
+let advances t = t.advance != no_advance
 let has_work t = t.has_work ()
 
 let execute t ~now ~cpu_time ~speed =
@@ -20,8 +26,13 @@ let execute t ~now ~cpu_time ~speed =
       (Printf.sprintf "Workload.execute: %s consumed more time than offered" t.name);
   used
 
+(* Shared by every [idle] workload, so a scheduler can tell by physical
+   equality that asking it for work is pointless. *)
+let no_work () = false
+let may_work t = t.has_work != no_work
+
 let idle () =
-  make ~name:"idle" ~has_work:(fun () -> false)
+  make ~name:"idle" ~has_work:no_work
     ~execute:(fun ~now:_ ~cpu_time:_ ~speed:_ -> Sim_time.zero)
     ()
 

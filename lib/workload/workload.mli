@@ -32,8 +32,16 @@ val name : t -> string
 
 val advance : t -> now:Sim_time.t -> dt:Sim_time.t -> unit
 
+val advances : t -> bool
+(** False when the workload was made without an [advance] (the default
+    no-op), so a host may skip advancing it without changing anything. *)
+
 val has_work : t -> bool
 (** True when the workload would use CPU if scheduled right now. *)
+
+val may_work : t -> bool
+(** False for {!idle} workloads, whose [has_work] is always false: a
+    scheduler may skip asking them without changing anything. *)
 
 val execute : t -> now:Sim_time.t -> cpu_time:Sim_time.t -> speed:float -> Sim_time.t
 (** @raise Invalid_argument if [speed <= 0]. *)

@@ -74,6 +74,26 @@ let scheduler_excluded () =
   Scheduler.Mask.add mask a;
   check_bool "re-added" true (Scheduler.Mask.mem mask a)
 
+(* Ids are process-global, so a long-lived mask sees ids well past its
+   initial 64-byte buffer; clearing must forget every one of them, and a
+   re-used mask must hold exactly what was added since. *)
+let mask_clear_past_growth () =
+  let ds = List.init 300 (fun i -> Domain.create ~name:(Printf.sprintf "m%d" i) ~credit_pct:1.0 (Workload.idle ())) in
+  let mask = Scheduler.Mask.create () in
+  List.iter (Scheduler.Mask.add mask) ds;
+  List.iter (Scheduler.Mask.add mask) ds;
+  check_bool "all members" true (List.for_all (Scheduler.Mask.mem mask) ds);
+  Scheduler.Mask.clear mask;
+  check_bool "none after clear" true (List.for_all (fun d -> not (Scheduler.Mask.mem mask d)) ds);
+  let evens = List.filteri (fun i _ -> i mod 2 = 0) ds in
+  List.iter (Scheduler.Mask.add mask) evens;
+  List.iteri
+    (fun i d -> check_bool (Printf.sprintf "member %d" i) (i mod 2 = 0) (Scheduler.Mask.mem mask d))
+    ds;
+  Scheduler.Mask.clear mask;
+  check_bool "none after second clear" true
+    (List.for_all (fun d -> not (Scheduler.Mask.mem mask d)) ds)
+
 (* ------------------------------------------------------------------ *)
 (* Host *)
 
@@ -203,6 +223,36 @@ let host_domains_accessor () =
         (Host.series_domain_load host
            (Domain.create ~name:"foreign" ~credit_pct:10.0 (Workload.idle ()))))
 
+(* Workloads built without an [advance] share the default no-op and are
+   left out of the tick's advance loop; a workload that wraps one (the
+   per-layer probe's pattern) has an [advance] of its own and is still
+   advanced on every tick. *)
+let host_skips_default_advance () =
+  let advanced = ref 0 in
+  let inner = Workload.idle () in
+  let wrapped =
+    Workload.make ~name:"probe"
+      ~advance:(fun ~now ~dt ->
+        incr advanced;
+        Workload.advance inner ~now ~dt)
+      ~has_work:(fun () -> Workload.has_work inner)
+      ~execute:(fun ~now ~cpu_time ~speed -> Workload.execute inner ~now ~cpu_time ~speed)
+      ()
+  in
+  check_bool "idle has no advance" false (Workload.advances inner);
+  check_bool "busy loop has no advance" false (Workload.advances (Workload.busy_loop ()));
+  check_bool "wrapper has one" true (Workload.advances wrapped);
+  let plain = Domain.create ~name:"plain" ~credit_pct:20.0 (Workload.busy_loop ()) in
+  let lazy_ = Domain.create ~name:"lazy" ~credit_pct:20.0 (Workload.idle ()) in
+  let probed = Domain.create ~name:"probed" ~credit_pct:20.0 wrapped in
+  let advancing = Domain.advancing [ plain; lazy_; probed ] in
+  check_int "only the wrapper is advanced" 1 (Array.length advancing);
+  check_bool "and it is the wrapper" true (advancing.(0) == wrapped);
+  let host, _ = make_host [ plain; lazy_; probed ] in
+  Host.run_for host (sec 1);
+  check_int "advanced on every tick" 1000 !advanced;
+  check_float_eps 0.01 "plain still runs" 0.2 (Sim_time.to_sec (Domain.cpu_time plain))
+
 let () =
   Alcotest.run "hypervisor"
     [
@@ -217,6 +267,7 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick scheduler_defaults;
           Alcotest.test_case "excluded" `Quick scheduler_excluded;
+          Alcotest.test_case "mask clear past growth" `Quick mask_clear_past_growth;
         ] );
       ( "host",
         [
@@ -232,5 +283,6 @@ let () =
           Alcotest.test_case "trace frequency changes" `Quick host_trace_records_frequency_changes;
           Alcotest.test_case "stop freezes" `Quick host_stop_freezes;
           Alcotest.test_case "domains accessor" `Quick host_domains_accessor;
+          Alcotest.test_case "skips default advance" `Quick host_skips_default_advance;
         ] );
     ]

@@ -172,6 +172,249 @@ let pick_none_when_all_excluded () =
        ~exclude:(Scheduler.Mask.of_list [ a ])
     = None)
 
+(* ------------------------------------------------------------------ *)
+(* Differential check of the counter-gated pick against the five-pass
+   reference it replaced: the same domains drive both, and every pick's
+   slice, every round-robin pointer and every effective credit must
+   agree. *)
+
+module Reference = struct
+  type st = {
+    domain : Domain.t;
+    mutable effective_credit : float;
+    mutable quota : Sim_time.t;
+    mutable was_runnable : bool;
+    mutable boosted : bool;
+  }
+
+  type t = {
+    account_period : Sim_time.t;
+    host_capacity : int;
+    boost : bool;
+    doms : st array;
+    mutable rr : int;
+    mutable rr_uncapped : int;
+    mutable rr_boost : int;
+  }
+
+  let quota_of t credit =
+    Sim_time.of_sec_f
+      (credit /. 100.0 *. Sim_time.to_sec t.account_period *. float_of_int t.host_capacity)
+
+  let refill t st = st.quota <- quota_of t st.effective_credit
+
+  let create ~account_period ~host_capacity ~boost domains =
+    let t =
+      {
+        account_period;
+        host_capacity;
+        boost;
+        doms =
+          Array.of_list
+            (List.map
+               (fun d ->
+                 {
+                   domain = d;
+                   effective_credit = Domain.initial_credit d;
+                   quota = Sim_time.zero;
+                   was_runnable = false;
+                   boosted = false;
+                 })
+               domains);
+        rr = 0;
+        rr_uncapped = 0;
+        rr_boost = 0;
+      }
+    in
+    Array.iter (refill t) t.doms;
+    t
+
+  let state t d =
+    match Array.find_opt (fun st -> Domain.equal st.domain d) t.doms with
+    | Some st -> st
+    | None -> invalid_arg "unknown domain"
+
+  let eligible_capped st exclude =
+    (not (Domain.uncapped st.domain))
+    && Domain.runnable st.domain
+    && (not (Scheduler.Mask.mem exclude st.domain))
+    && Sim_time.compare st.quota Sim_time.zero > 0
+
+  let eligible_uncapped st exclude =
+    Domain.uncapped st.domain
+    && Domain.runnable st.domain
+    && not (Scheduler.Mask.mem exclude st.domain)
+
+  let rr_find doms exclude ptr pred =
+    let n = Array.length doms in
+    let rec go i =
+      if i >= n then -1
+      else begin
+        let idx = (ptr + 1 + i) mod n in
+        if pred doms.(idx) exclude then idx else go (i + 1)
+      end
+    in
+    go 0
+
+  let pick t ~remaining ~exclude =
+    Array.iter
+      (fun st ->
+        let runnable = Domain.runnable st.domain in
+        if t.boost && runnable && not st.was_runnable then st.boosted <- true;
+        st.was_runnable <- runnable)
+      t.doms;
+    let slice st cap = Some (st.domain, Sim_time.min cap remaining) in
+    match
+      Array.find_opt (fun st -> Domain.is_dom0 st.domain && eligible_capped st exclude) t.doms
+    with
+    | Some st -> slice st st.quota
+    | None -> (
+        let ib =
+          rr_find t.doms exclude t.rr_boost (fun st ex ->
+              st.boosted && (not (Domain.is_dom0 st.domain)) && eligible_capped st ex)
+        in
+        if ib >= 0 then begin
+          t.rr_boost <- ib;
+          slice t.doms.(ib) t.doms.(ib).quota
+        end
+        else
+          let ic =
+            rr_find t.doms exclude t.rr (fun st ex ->
+                (not (Domain.is_dom0 st.domain)) && eligible_capped st ex)
+          in
+          if ic >= 0 then begin
+            t.rr <- ic;
+            slice t.doms.(ic) t.doms.(ic).quota
+          end
+          else
+            match rr_find t.doms exclude t.rr_uncapped eligible_uncapped with
+            | -1 -> None
+            | iu ->
+                t.rr_uncapped <- iu;
+                slice t.doms.(iu) remaining)
+
+  let charge t ~domain ~used =
+    let st = state t domain in
+    st.boosted <- false;
+    st.quota <-
+      (if Sim_time.compare used st.quota >= 0 then Sim_time.zero else Sim_time.sub st.quota used)
+
+  let on_account_period t = Array.iter (refill t) t.doms
+
+  let set_effective_credit t d credit =
+    let st = state t d in
+    let old_quota = quota_of t st.effective_credit in
+    let new_quota = quota_of t credit in
+    st.effective_credit <- credit;
+    if Sim_time.compare new_quota old_quota >= 0 then
+      st.quota <- Sim_time.add st.quota (Sim_time.sub new_quota old_quota)
+    else begin
+      let cut = Sim_time.sub old_quota new_quota in
+      st.quota <-
+        (if Sim_time.compare cut st.quota >= 0 then Sim_time.zero else Sim_time.sub st.quota cut)
+    end
+end
+
+(* One random scenario, fully determined by [seed]: a domain set with
+   dom0s, uncapped and idle domains, workloads that toggle between having
+   and lacking work, and a stream of picks (with random exclusions),
+   charges, refills and credit changes. *)
+let differential_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
+  let n = 1 + int 40 in
+  let active = Array.init n (fun _ -> chance 0.5) in
+  let domains =
+    List.init n (fun i ->
+        let workload =
+          if chance 0.15 then Workload.idle ()
+          else
+            Workload.make ~name:"toggle"
+              ~has_work:(fun () -> active.(i))
+              ~execute:(fun ~now:_ ~cpu_time ~speed:_ -> cpu_time)
+              ()
+        in
+        let credit = if chance 0.2 then 0.0 else float_of_int (1 + int 100) in
+        Domain.create ~is_dom0:(chance 0.1) ~name:(Printf.sprintf "d%d" i) ~credit_pct:credit
+          workload)
+  in
+  let doms = Array.of_list domains in
+  let account_period = Sim_time.of_ms (1 + int 60) in
+  let host_capacity = 1 + int 4 and boost = chance 0.5 in
+  let fast = Sched_credit.make ~account_period ~host_capacity ~boost domains in
+  let sched = Sched_credit.scheduler fast in
+  let reference = Reference.create ~account_period ~host_capacity ~boost domains in
+  let agree what a b = if a <> b then QCheck.Test.fail_reportf "seed %d: %s differs" seed what in
+  let pointers () =
+    agree "rr pointers" (Sched_credit.rr_pointers fast)
+      (reference.Reference.rr, reference.Reference.rr_boost, reference.Reference.rr_uncapped)
+  in
+  let last = ref None in
+  for _ = 1 to 300 do
+    (match int 7 with
+    | 0 | 1 | 2 ->
+        let exclude =
+          Scheduler.Mask.of_list (List.filter (fun _ -> chance 0.2) domains)
+        in
+        let remaining = Sim_time.of_us (1 + int 2_000) in
+        let got =
+          match sched.Scheduler.pick ~now:Sim_time.zero ~remaining ~exclude with
+          | Some s -> Some (s.Scheduler.domain, s.Scheduler.max_slice)
+          | None -> None
+        in
+        let want = Reference.pick reference ~remaining ~exclude in
+        agree "pick" (Option.map (fun (d, s) -> (Domain.id d, s)) got)
+          (Option.map (fun (d, s) -> (Domain.id d, s)) want);
+        pointers ();
+        last := got
+    | 3 ->
+        (* Charge what was just picked (the host's pattern) or, now and
+           then, some other domain. *)
+        let domain, cap =
+          match !last with
+          | Some (d, s) when chance 0.8 -> (d, Sim_time.to_us s)
+          | _ -> (doms.(int n), 3_000)
+        in
+        let used = Sim_time.of_us (int (cap + 1)) in
+        sched.Scheduler.charge ~domain ~now:Sim_time.zero ~used;
+        Reference.charge reference ~domain ~used
+    | 4 ->
+        sched.Scheduler.on_account_period ~now:Sim_time.zero;
+        Reference.on_account_period reference
+    | 5 ->
+        if chance 0.5 then begin
+          let d = doms.(int n) and credit = Random.State.float rng 150.0 in
+          sched.Scheduler.set_effective_credit d credit;
+          Reference.set_effective_credit reference d credit
+        end
+        else begin
+          let ratio = 0.3 +. Random.State.float rng 0.7 and cf = 0.8 +. Random.State.float rng 0.2 in
+          Sched_credit.rescale_capped fast ~divisor:(ratio *. cf);
+          Array.iter
+            (fun d ->
+              let initial = Domain.initial_credit d in
+              if initial > 0.0 then
+                Reference.set_effective_credit reference d (initial /. (ratio *. cf)))
+            doms
+        end
+    | _ ->
+        let i = int n in
+        active.(i) <- not active.(i));
+    Array.iter
+      (fun d ->
+        agree "effective credit"
+          (Int64.bits_of_float (sched.Scheduler.effective_credit d))
+          (Int64.bits_of_float (Reference.state reference d).Reference.effective_credit))
+      doms
+  done;
+  true
+
+let differential_pick =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"pick/charge match the five-pass reference"
+       QCheck.(int_bound 1_000_000)
+       differential_run)
+
 let () =
   Alcotest.run "sched_credit"
     [
@@ -205,4 +448,5 @@ let () =
           Alcotest.test_case "pick excludes" `Quick pick_excludes;
           Alcotest.test_case "pick none" `Quick pick_none_when_all_excluded;
         ] );
+      ("differential", [ differential_pick ]);
     ]

@@ -189,6 +189,36 @@ let web_poisson_mean () =
   let n = float_of_int (Web_app.injected_requests app) in
   check_bool "poisson mean in range" true (n > 1080.0 && n < 1320.0)
 
+(* The queue is a ring that starts at 16 slots: fill it, serve part of it
+   so the head sits mid-ring, then overflow it so it grows while wrapped.
+   One request arrives per 1 ms tick (rate 1.0 x 1 ms / 1 ms of work). *)
+let web_ring_grows_while_wrapped () =
+  let app = Web_app.create ~request_work:0.001 ~rate_schedule:(Phases.constant ~rate:1.0) () in
+  let w = Web_app.workload app in
+  let tick = ref 0 in
+  let advance n =
+    for _ = 1 to n do
+      incr tick;
+      Workload.advance w ~now:(ms !tick) ~dt:(ms 1)
+    done
+  in
+  let serve us = Workload.execute w ~now:(ms !tick) ~cpu_time:(Sim_time.of_us us) ~speed:1.0 in
+  advance 16;
+  check_int "ring full" 16 (Web_app.queue_length app);
+  check_int "partial service" 5_500 (Sim_time.to_us (serve 5_500));
+  check_int "five served" 5 (Web_app.completed_requests app);
+  advance 10;
+  check_int "grown past the ring" 21 (Web_app.queue_length app);
+  check_float "queued work keeps the half-served head" 0.0205 (Web_app.queued_work app);
+  check_int "drains the rest" 20_500 (Sim_time.to_us (serve 100_000));
+  check_int "all served" 26 (Web_app.completed_requests app);
+  check_int "empty" 0 (Web_app.queue_length app);
+  check_int "one response time each" 26
+    (Stats.Running.count (Web_app.response_times app));
+  (* Request 6 arrived at 6 ms and was finished by the serve at 26 ms. *)
+  check_float "longest wait" 0.020
+    (Stats.Running.max (Web_app.response_times app))
+
 let web_invalid () =
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Web_app.create: schedule must be sorted strictly by time") (fun () ->
@@ -402,6 +432,7 @@ let () =
           Alcotest.test_case "timeout expires" `Quick web_timeout_expires;
           Alcotest.test_case "rate schedule" `Quick web_rate_schedule;
           Alcotest.test_case "poisson mean" `Quick web_poisson_mean;
+          Alcotest.test_case "ring grows while wrapped" `Quick web_ring_grows_while_wrapped;
           Alcotest.test_case "invalid" `Quick web_invalid;
           web_conservation;
         ] );
