@@ -1,15 +1,7 @@
-(* Benchmark harness.
-
-   Part 1 — Bechamel micro-benchmarks of the hot paths (one Test.make per
+(* Bechamel micro-benchmarks of the hot paths (one Test.make per
    component: event queue, dispatch tick, scheduler picks, governor steps,
-   the PAS equations and evaluation).
-
-   Part 2 — regeneration of every table and figure of the paper: each
-   registered experiment runs at full scale and prints the same rows/series
-   the paper reports (plus the extension ablations).
-
-   Set BENCH_SCALE to trade fidelity for speed (default 1.0 = paper-length
-   runs; 0.1 completes in a few seconds per experiment). *)
+   the PAS equations and evaluation).  The paper's tables and figures are
+   regenerated by [experiments_main run-all]. *)
 
 open Bechamel
 open Toolkit
@@ -173,7 +165,7 @@ let micro_tests =
   ]
 
 let run_micro_benchmarks () =
-  print_endline "== Part 1: micro-benchmarks (Bechamel, OLS ns/run) ==";
+  print_endline "== micro-benchmarks (Bechamel, OLS ns/run) ==";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -192,29 +184,4 @@ let run_micro_benchmarks () =
     rows;
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Paper regeneration — sharded across a domain pool (DVFS_JOBS; default
-   Domain.recommended_domain_count).  Outputs are buffered per job and
-   printed in registry order, so stdout is identical for any pool size. *)
-
-let run_experiments scale =
-  let jobs = Runner.default_pool_size () in
-  Printf.printf "== Part 2: paper tables & figures (scale %.2f, %d job(s)) ==\n\n%!" scale jobs;
-  let report = Runner.run_all ~pool_size:jobs ~scale () in
-  Runner.print_outputs Format.std_formatter report;
-  Runner.pp_summary Format.std_formatter report;
-  (match Sys.getenv_opt "DVFS_MANIFEST" with
-  | Some path when String.trim path <> "" ->
-      Runner.save_manifest report ~path;
-      Printf.printf "wrote manifest %s\n" path
-  | Some _ | None -> ());
-  if Runner.failures report <> [] then exit 1
-
-let () =
-  let scale =
-    match Sys.getenv_opt "BENCH_SCALE" with
-    | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 1.0)
-    | None -> 1.0
-  in
-  run_micro_benchmarks ();
-  run_experiments scale
+let () = run_micro_benchmarks ()

@@ -1,8 +1,8 @@
 (* Driver for the AST analysis passes (dune build @analyze): parses every
    compilation unit under the given roots with compiler-libs and runs the
    per-file unit-of-measure, domain-safety and float-reduction checks
-   plus the whole-program determinism-effect, lock-discipline,
-   allocation-effect and ownership/escape passes (see lib/staticcheck).
+   plus the whole-program determinism-effect, lock-discipline and
+   allocation-effect passes (see lib/staticcheck).
    Exits nonzero if any rule fires.
 
    --sarif FILE            write the issues as SARIF 2.1.0 (written even
@@ -20,11 +20,6 @@
    --alloc-roots           print the (* alloc: none *) hot-root keys,
                            one per line, and exit — the static half of
                            the zero-alloc consistency contract
-   --shard-roots           print the confinement verdict for every
-                           mutable root of the host-state units, one
-                           "key<TAB>kind<TAB>class" line per root, and
-                           exit — the machine-readable report of the
-                           ownership/escape pass
    --explain RULE          print what RULE means, how to fix and how to
                            waive it, then exit *)
 
@@ -33,7 +28,7 @@ let default_roots = [ "lib"; "bin"; "bench"; "examples" ]
 let usage () =
   Format.eprintf
     "usage: analyze_main [--sarif FILE] [--sarif-baseline FILE] [--timing FILE] \
-     [--jobs N] [--alloc-roots] [--shard-roots] [--explain RULE] [root ...]@.";
+     [--jobs N] [--alloc-roots] [--explain RULE] [root ...]@.";
   exit 2
 
 let write_timing ~path seconds passes =
@@ -54,7 +49,6 @@ let () =
   let timing = ref None in
   let jobs = ref 1 in
   let alloc_roots = ref false in
-  let shard_roots = ref false in
   let roots = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -77,9 +71,6 @@ let () =
     | "--alloc-roots" :: rest ->
         alloc_roots := true;
         parse_args rest
-    | "--shard-roots" :: rest ->
-        shard_roots := true;
-        parse_args rest
     | [ ("--sarif" | "--sarif-baseline" | "--timing" | "--jobs" | "--explain") ] ->
         usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage ()
@@ -97,10 +88,6 @@ let () =
   in
   if !alloc_roots then begin
     List.iter print_endline (Staticcheck.alloc_roots_of_paths roots);
-    exit 0
-  end;
-  if !shard_roots then begin
-    List.iter print_endline (Staticcheck.shard_roots_of_paths roots);
     exit 0
   end;
   let t0 = Unix.gettimeofday () in

@@ -45,7 +45,6 @@ let settle_standby t node =
       node.off_since <- Some (now t)
   | None -> ()
 
-(* shard: boundary — decommission epoch: retires the node's host and its energy counter *)
 let power_off t node =
   (match node.host with
   | Some host ->
@@ -55,7 +54,6 @@ let power_off t node =
   | None -> ());
   if node.off_since = None then node.off_since <- Some (now t)
 
-(* shard: boundary — commission epoch: builds the node's host around the placed VM set *)
 let build_host t node vms =
   settle_standby t node;
   node.off_since <- None;
@@ -78,7 +76,6 @@ let build_host t node vms =
 
 (* -- packing -------------------------------------------------------- *)
 
-(* shard: boundary — packing input: reads VM size/credit into plain placement items *)
 let items_of t =
   Array.to_list
     (Array.mapi
@@ -93,7 +90,6 @@ let items_of t =
          })
        t.vms)
 
-(* shard: boundary — migration epoch: moves VMs between nodes, rebuilding their hosts *)
 let apply_assignment t assignment ~count_migrations =
   (* Which nodes change? Rebuild only those (plus newly-empty ones off). *)
   let moved = ref 0 in
@@ -121,7 +117,6 @@ let pack t =
   Placement.pack t.strategy ~node_count:(Array.length t.node_states)
     ~memory_capacity_mb:t.node_memory_mb ~cpu_capacity_pct:t.cpu_budget_pct (items_of t)
 
-(* shard: boundary — rebalance epoch: samples per-domain CPU time to refresh demand *)
 let rebalance t =
   (* Refresh demand estimates from the elapsed interval. *)
   let dt = Sim_time.to_sec (Sim_time.diff (now t) t.last_rebalance) in
@@ -139,7 +134,6 @@ let rebalance t =
 
 let auto_rebalance t ~every = ignore (Simulator.every t.sim every (fun () -> rebalance t))
 
-(* shard: boundary — fleet construction: seeds demand estimates from VM credits *)
 let create ?(arch = Cpu_model.Arch.optiplex_755) ?(node_memory_mb = 16_384)
     ?(cpu_budget_pct = 90.0) ?(standby_watts = 5.0) ?(strategy = Placement.First_fit_decreasing)
     ?(policy = Pas_nodes) ~sim ~nodes vms =
@@ -183,7 +177,6 @@ let nodes t = Array.length t.node_states
 let active_nodes t =
   Array.fold_left (fun acc n -> if n.host <> None then acc + 1 else acc) 0 t.node_states
 
-(* shard: boundary — VM identity lookup across the cluster's placement table *)
 let state_of t vm =
   match Array.find_opt (fun st -> Vm.equal st.vm vm) t.vms with
   | Some st -> st
@@ -192,7 +185,6 @@ let state_of t vm =
 let node_of_vm t vm = (state_of t vm).node
 let migrations t = t.migrations
 
-(* shard: boundary — fleet-wide energy reduction over per-node host counters *)
 let energy_joules t =
   Array.fold_left
     (fun acc node ->
@@ -205,7 +197,6 @@ let energy_joules t =
       acc +. node.retired_joules +. node.standby_joules +. standby_now +. running)
     0.0 t.node_states
 
-(* shard: boundary — reads a VM's domain CPU time for the measured-share metric *)
 let vm_cpu_share t vm =
   let st = state_of t vm in
   let dt = Sim_time.to_sec (Sim_time.diff (now t) t.last_rebalance) in

@@ -17,7 +17,6 @@ let fits bin ~memory_capacity_mb ~cpu_capacity_pct item =
   bin.mem_used + item.memory_mb <= memory_capacity_mb
   && bin.cpu_used +. item.cpu_pct <= cpu_capacity_pct +. 1e-9
 
-(* shard: boundary — placement epoch: pure packing over plain items, no host state *)
 let pack strategy ~node_count ~memory_capacity_mb ~cpu_capacity_pct items =
   validate ~node_count ~memory_capacity_mb ~cpu_capacity_pct items;
   let bins = Array.init node_count (fun _ -> { mem_used = 0; cpu_used = 0.0 }) in

@@ -43,7 +43,7 @@ let implementation_run ~seed:_ ~scale =
     let domains = [ dom0; v20; v70 ] in
     let scheduler, governor, arm_daemon = build sim processor domains in
     let host = Host.create ~sim ~processor ~scheduler ?governor () in
-    arm_daemon host scheduler (* lint:ignore shard-unknown-flow: the variant's daemon is armed on this host only *);
+    arm_daemon host scheduler;
     Host.run_for host duration;
     let transition = deficit_between host v20 switch (t 660.0) in
     let steady = deficit_between host v20 (t 660.0) (t 1150.0) in

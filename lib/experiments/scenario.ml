@@ -89,7 +89,7 @@ let run s =
       (A, (v20_from, v70_from)); (B, (v70_from, v20_until)); (C, (v20_until, v70_until));
     ]
   in
-  { (* lint:ignore shard-escape: the record is consumed by the calling experiment on the same shard *)
+  {
     host;
     v20;
     v70;

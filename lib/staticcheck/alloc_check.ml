@@ -54,29 +54,7 @@ let class_name = function
   | Alloc -> "Alloc"
 
 let rank = function NoAlloc -> 0 | Bounded -> 1 | Alloc -> 2
-let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
-
-(* Least fixpoint of [cls i = join base(i) (join over edges (i,j) of
-   cls j)]; standalone over plain arrays so the property tests can check
-   monotonicity under edge addition directly (same shape as
-   [Effect_check.solve]). *)
-let solve ~n ~base ~edges =
-  let cls = Array.copy base in
-  ignore n;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (i, j) ->
-        let v = join cls.(i) cls.(j) in
-        if rank v > rank cls.(i) then begin
-          cls.(i) <- v;
-          changed := true
-        end)
-      edges
-  done;
-  cls
+let join = Fixpoint.join ~rank
 
 (* ------------------------------------------------------------------ *)
 (* Annotation grammar: [(* alloc: none *)] / [(* alloc: cold *)] on the
@@ -486,22 +464,13 @@ let advice = function
 
 let check ~sources g =
   let hot_keys, cold = annotations g ~sources in
-  (* deterministic: lookup-only tables keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
-  (* deterministic: lookup-only, never iterated *)
-  let arity = Hashtbl.create 256 in
-  List.iter (fun (k, _, body) -> Hashtbl.replace arity k (arity_of body)) nodes;
-  let base = Array.make (max n 1) NoAlloc in
-  let witnesses = Array.make (max n 1) [] in
+  let nodes = Callgraph.nodes g in
+  let n = Array.length nodes in
+  let base = Array.make n NoAlloc in
+  let witnesses = Array.make n [] in
   let edges = ref [] in
-  List.iteri
-    (fun i (fkey_i, funit, body) ->
+  Array.iteri
+    (fun i { Callgraph.nkey = fkey_i; nunit = funit; nbody = body } ->
       if not (Hashtbl.mem cold fkey_i) then begin
         let classify p =
           let d = Ast_util.dotted p in
@@ -512,7 +481,10 @@ let check ~sources g =
                 Hfun
                   {
                     fkey;
-                    arity = (match Hashtbl.find_opt arity fkey with Some a -> a | None -> 0);
+                    arity =
+                      (match Callgraph.index g fkey with
+                      | Some j -> arity_of nodes.(j).Callgraph.nbody
+                      | None -> 0);
                     crossbox =
                       (not (String.equal tu.Callgraph.uname funit.Callgraph.uname))
                       && List.mem fkey float_returning;
@@ -543,7 +515,7 @@ let check ~sources g =
         let on_ref p =
           match Callgraph.resolve g ~cur:funit p with
           | Callgraph.Fun { fkey; _ } when not (Hashtbl.mem cold fkey) -> (
-              match Hashtbl.find_opt index fkey with
+              match Callgraph.index g fkey with
               | Some j -> if i <> j then edges := (i, j) :: !edges
               | None -> ())
           | _ -> ()
@@ -553,50 +525,25 @@ let check ~sources g =
           List.fold_left (fun acc w -> join acc w.wcls) NoAlloc witnesses.(i)
       end)
     nodes;
-  let cls = solve ~n ~base ~edges:!edges in
-  (* Multi-source BFS from the annotated roots (sorted, so the reported
-     chain is deterministic); parents give the shortest root -> node
-     chain. *)
-  let out = Array.make (max n 1) [] in
-  List.iter (fun (i, j) -> out.(i) <- j :: out.(i)) !edges;
-  Array.iteri (fun i l -> out.(i) <- List.sort_uniq compare l) out;
-  let parent = Array.make (max n 1) (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when parent.(i) = -2 ->
-          parent.(i) <- -1;
-          Queue.add i q
-      | _ -> ())
-    hot_keys;
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if parent.(j) = -2 then begin
-          parent.(j) <- i;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
-  let name_of i = match List.nth nodes i with k, _, _ -> k in
-  let rec chain i acc =
-    let acc = name_of i :: acc in
-    if parent.(i) < 0 then acc else chain parent.(i) acc
+  let cls = Fixpoint.solve ~rank ~base ~edges:!edges in
+  (* annotated roots in sorted key order, so the reported chain is
+     deterministic *)
+  let parent =
+    Fixpoint.bfs ~n ~edges:!edges ~sources:(List.filter_map (Callgraph.index g) hot_keys)
   in
+  let keys = Array.map (fun nd -> nd.Callgraph.nkey) nodes in
   let issues = ref [] in
-  List.iteri
-    (fun i (_, funit, _) ->
+  Array.iteri
+    (fun i nd ->
       (* a reached node's direct witnesses are exactly what lifted its
          fixpoint class above NoAlloc, so reporting them covers [cls] *)
       if parent.(i) >= -1 && rank cls.(i) > rank NoAlloc then
         List.iter
           (fun w ->
-            let trail = String.concat " → " (chain i []) in
+            let trail = String.concat " → " (Fixpoint.chain ~keys ~parent i) in
             issues :=
               {
-                Report.file = funit.Callgraph.ufile;
+                Report.file = nd.Callgraph.nunit.Callgraph.ufile;
                 line = w.wline;
                 rule = w.wrule;
                 message =

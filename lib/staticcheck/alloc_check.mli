@@ -19,14 +19,6 @@ type alloc_class = NoAlloc | Bounded | Alloc
 
 val class_name : alloc_class -> string
 val rank : alloc_class -> int
-val join : alloc_class -> alloc_class -> alloc_class
-val leq : alloc_class -> alloc_class -> bool
-
-val solve :
-  n:int -> base:alloc_class array -> edges:(int * int) list -> alloc_class array
-(** Least fixpoint of [cls i = join base(i) (join over (i,j) edges of
-    cls j)]; exposed pure so the property tests can check monotonicity
-    under edge addition directly. *)
 
 val check : sources:(string * string) list -> Callgraph.t -> Report.issue list
 (** Runs the analysis over the call graph.  [sources] maps the graph's

@@ -84,22 +84,9 @@ let rec mutable_ctor e =
 (* ------------------------------------------------------------------ *)
 (* What a file declares: structure-level mutable roots (at any module
    nesting depth), module aliases, structure-level value bindings (the
-   reachability graph's nodes), record-field declarations, includes. *)
+   reachability graph's nodes), mutable record fields, includes. *)
 
 type root = { rline : int; rkind : string; rsync : bool }
-
-(* One record-field declaration.  [fheads] is the chain of outermost
-   type-constructor heads of the field's type, outer to inner through
-   single-argument constructors ([Trace.t option] gives
-   [["option"; "Trace.t"]]) — how the ownership pass recognizes embedded
-   host state and known mutable containers without type inference. *)
-type field_decl = {
-  ftype : string;  (** dotted path of the declaring record type *)
-  fname : string;
-  fline : int;
-  fmut : bool;
-  fheads : string list;
-}
 
 type decls = {
   mutable roots : (string * root) list;  (** dotted path -> root *)
@@ -107,21 +94,9 @@ type decls = {
   mutable funs : (string * expression) list;  (** dotted path -> rhs *)
   mutable flines : (string * int) list;  (** dotted fun path -> binding line *)
   mutable fields : int list;  (** lines of [mutable] record fields *)
-  mutable tfields : field_decl list;  (** every record-field declaration *)
   mutable includes : (string list * string list) list;
       (** [include M]: prefix where it appears -> included module path *)
 }
-
-let rec type_heads ct =
-  match ct.ptyp_desc with
-  | Ptyp_constr (lid, args) -> (
-      match flatten lid.Asttypes.txt with
-      | None -> []
-      | Some p ->
-          let head = dotted (strip_stdlib p) in
-          head :: (match args with [ a ] -> type_heads a | _ -> []))
-  | Ptyp_alias (ct, _) | Ptyp_poly (_, ct) -> type_heads ct
-  | _ -> []
 
 let rec scan_structure_into prefix decls str =
   List.iter
@@ -152,20 +127,10 @@ let rec scan_structure_into prefix decls str =
             (fun td ->
               match td.ptype_kind with
               | Ptype_record fields ->
-                  let ftype = dotted (prefix @ [ td.ptype_name.Asttypes.txt ]) in
                   List.iter
                     (fun f ->
-                      let fmut = f.pld_mutable = Asttypes.Mutable in
-                      if fmut then decls.fields <- line_of f.pld_loc :: decls.fields;
-                      decls.tfields <-
-                        {
-                          ftype;
-                          fname = f.pld_name.Asttypes.txt;
-                          fline = line_of f.pld_loc;
-                          fmut;
-                          fheads = type_heads f.pld_type;
-                        }
-                        :: decls.tfields)
+                      if f.pld_mutable = Asttypes.Mutable then
+                        decls.fields <- line_of f.pld_loc :: decls.fields)
                     fields
               | _ -> ())
             tds
@@ -206,7 +171,6 @@ let scan_structure str =
       funs = [];
       flines = [];
       fields = [];
-      tfields = [];
       includes = [];
     }
   in

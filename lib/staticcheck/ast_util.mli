@@ -31,24 +31,12 @@ val mutable_ctor : Parsetree.expression -> (string * bool) option
 
 type root = { rline : int; rkind : string; rsync : bool }
 
-type field_decl = {
-  ftype : string;  (** dotted path of the declaring record type *)
-  fname : string;
-  fline : int;
-  fmut : bool;
-  fheads : string list;
-      (** outermost-to-innermost type-constructor heads through
-          single-argument constructors: [Trace.t option] gives
-          [["option"; "Trace.t"]] *)
-}
-
 type decls = {
   mutable roots : (string * root) list;  (** dotted path -> root *)
   mutable aliases : (string list * string list) list;
   mutable funs : (string * Parsetree.expression) list;  (** dotted path -> rhs *)
   mutable flines : (string * int) list;  (** dotted fun path -> binding line *)
   mutable fields : int list;  (** lines of [mutable] record fields *)
-  mutable tfields : field_decl list;  (** every record-field declaration *)
   mutable includes : (string list * string list) list;
       (** [include M]: prefix where it appears -> included module path *)
 }
@@ -85,9 +73,6 @@ val guarded_refs : Parsetree.expression -> (string list * int * guard * bool) li
     [Mutex.protect] mutex guarding it (if any) and whether the reference
     is a syntactic write ({!is_write_op} application argument or
     [Pexp_setfield] target) — the lock-discipline pass's evidence. *)
-
-val is_spawn : string list -> bool
-(** [Domain.spawn] / [Thread.create]. *)
 
 type locals = {
   spawns : (int * Parsetree.expression) list;

@@ -18,7 +18,13 @@ type unit_info = {
       (* full keys of roots the domain-capture rule already reports *)
 }
 
-type t = { units : (string * unit_info) list }
+type node = { nkey : string; nunit : unit_info; nbody : Parsetree.expression }
+
+type t = {
+  units : (string * unit_info) list;
+  nodes : node array;
+  index : (string, int) Hashtbl.t;
+}
 
 let module_name_of file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
@@ -47,10 +53,26 @@ let build parsed =
           (uname, u) :: acc)
       [] parsed
   in
-  { units = List.rev units }
+  let units = List.rev units in
+  let nodes =
+    Array.of_list
+      (List.concat_map
+         (fun (_, u) ->
+           List.map
+             (fun (path, body) -> { nkey = key u path; nunit = u; nbody = body })
+             u.udecls.Ast_util.funs)
+         units)
+  in
+  (* deterministic: lookup-only, never iterated; a key bound twice maps
+     to its last node *)
+  let index = Hashtbl.create 256 in
+  Array.iteri (fun i nd -> Hashtbl.replace index nd.nkey i) nodes;
+  { units; nodes; index }
 
 let unit_infos t = List.map snd t.units
 let find_unit t name = List.assoc_opt name t.units
+let nodes t = t.nodes
+let index t k = Hashtbl.find_opt t.index k
 
 type target =
   | Fun of { fkey : string; funit : unit_info; body : Parsetree.expression }
@@ -132,14 +154,6 @@ let resolve t ~cur path =
                   scan 0))
   in
   go cur path 8
-
-let fold_funs t init f =
-  List.fold_left
-    (fun acc (_, u) ->
-      List.fold_left
-        (fun acc (path, body) -> f acc ~fkey:(key u path) ~funit:u ~body)
-        acc u.udecls.Ast_util.funs)
-    init t.units
 
 (* Simulation entry points: the parallel runner's job bodies, the
    experiment registry, [Experiment.run], and — so single-file fixtures

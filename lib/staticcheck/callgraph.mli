@@ -1,11 +1,12 @@
 (** Cross-module call graph over a set of parsed compilation units.
 
     Shared substrate of the interprocedural passes: {!Effect_check} walks
-    it to propagate determinism effects from simulation entry points, and
-    {!Lock_check} walks it to decide which mutable roots are reached from
-    parallel code.  Nodes are structure-level bindings keyed
-    ["Unit.dotted.path"]; resolution is purely syntactic (module aliases
-    chased, re-exports followed across units, [Stdlib.] stripped). *)
+    it to propagate determinism effects from simulation entry points,
+    {!Alloc_check} to prove hot roots allocation-free, and {!Lock_check}
+    to decide which mutable roots are reached from parallel code.  Nodes
+    are structure-level bindings keyed ["Unit.dotted.path"]; resolution
+    is purely syntactic (module aliases chased, re-exports followed
+    across units, [Stdlib.] stripped). *)
 
 type unit_info = {
   ufile : string;  (** source path as given to the analyzer *)
@@ -42,15 +43,16 @@ val resolve : t -> cur:unit_info -> string list -> target
     re-exports followed across units.  Functor applications are opaque —
     paths through [module M = F (X)] stay [External]. *)
 
-val fold_funs :
-  t ->
-  'a ->
-  ('a ->
-  fkey:string ->
-  funit:unit_info ->
-  body:Parsetree.expression ->
-  'a) ->
-  'a
+type node = { nkey : string; nunit : unit_info; nbody : Parsetree.expression }
+
+val nodes : t -> node array
+(** Every structure-level function binding of every unit, in unit order;
+    a node's array position is its index in the {!Fixpoint} solve and
+    search. *)
+
+val index : t -> string -> int option
+(** The node index of a key (the last node, should a unit bind the same
+    path twice). *)
 
 val entry_keys : t -> string list
 (** Simulation entry points, sorted: [Runner.run_all]/[Runner.run_job],

@@ -14,8 +14,8 @@
    [Ambient]/[Nondet] primitive use reachable from a simulation entry
    point is reported at the use site, with the full call chain from the
    entry in the message.  A result produced only through [Pure] and
-   [Seeded] nodes is a pure function of (seed, scale) — the property the
-   sharded simulator needs. *)
+   [Seeded] nodes is a pure function of (seed, scale) — the property
+   that makes a run reproducible from its seed on any pool size. *)
 
 type effect_class = Pure | Seeded | Ambient | Nondet
 
@@ -26,28 +26,7 @@ let class_name = function
   | Nondet -> "Nondet"
 
 let rank = function Pure -> 0 | Seeded -> 1 | Ambient -> 2 | Nondet -> 3
-let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
-
-(* Least fixpoint of [eff i = join base(i) (join over edges (i,j) of
-   eff j)].  Kept as a standalone function over plain arrays so the
-   property tests can check monotonicity under edge addition directly. *)
-let solve ~n ~base ~edges =
-  let eff = Array.copy base in
-  ignore n;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (i, j) ->
-        let v = join eff.(i) eff.(j) in
-        if rank v > rank eff.(i) then begin
-          eff.(i) <- v;
-          changed := true
-        end)
-      edges
-  done;
-  eff
+let join = Fixpoint.join ~rank
 
 (* Units whose insides are exempt: blessed configuration loaders read the
    host on purpose, before simulation starts. *)
@@ -102,19 +81,13 @@ let advice = function
        with (* lint:ignore effect-ambient: reason *)"
 
 let check g =
-  (* deterministic: lookup-only tables keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
+  let nodes = Callgraph.nodes g in
+  let n = Array.length nodes in
   let base = Array.make n Pure in
   let witnesses = Array.make n [] in
   let edges = ref [] in
-  List.iteri
-    (fun i (_, funit, body) ->
+  Array.iteri
+    (fun i { Callgraph.nunit = funit; nbody; _ } ->
       List.iter
         (fun (path, line) ->
           if List.mem "Prng" path then
@@ -123,7 +96,7 @@ let check g =
             match Callgraph.resolve g ~cur:funit path with
             | Callgraph.Fun { fkey; funit = tu; _ } ->
                 if not (List.mem tu.Callgraph.uname blessed_units) then (
-                  match Hashtbl.find_opt index fkey with
+                  match Callgraph.index g fkey with
                   | Some j -> if i <> j then edges := (i, j) :: !edges
                   | None -> ())
             | Callgraph.Root _ -> ()
@@ -136,42 +109,19 @@ let check g =
                         { wclass = cls; wdesc = desc; wpath = Ast_util.dotted p; wline = line }
                         :: witnesses.(i)
                 | None -> ()))
-        (Ast_util.free_refs body))
+        (Ast_util.free_refs nbody))
     nodes;
-  let eff = solve ~n ~base ~edges:!edges in
-  (* Multi-source BFS from the entry points (sorted, so the reported chain
-     is deterministic); parents give the shortest entry -> node chain. *)
-  let out = Array.make (max n 1) [] in
-  List.iter (fun (i, j) -> out.(i) <- j :: out.(i)) !edges;
-  Array.iteri (fun i l -> out.(i) <- List.sort_uniq compare l) out;
-  let parent = Array.make (max n 1) (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when parent.(i) = -2 ->
-          parent.(i) <- -1;
-          Queue.add i q
-      | _ -> ())
-    (Callgraph.entry_keys g);
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if parent.(j) = -2 then begin
-          parent.(j) <- i;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
-  let name_of i = match List.nth nodes i with k, _, _ -> k in
-  let rec chain i acc =
-    let acc = name_of i :: acc in
-    if parent.(i) < 0 then acc else chain parent.(i) acc
+  let eff = Fixpoint.solve ~rank ~base ~edges:!edges in
+  (* entry points in sorted key order, so the reported chain is
+     deterministic *)
+  let parent =
+    Fixpoint.bfs ~n ~edges:!edges
+      ~sources:(List.filter_map (Callgraph.index g) (Callgraph.entry_keys g))
   in
+  let keys = Array.map (fun nd -> nd.Callgraph.nkey) nodes in
   let issues = ref [] in
-  List.iteri
-    (fun i (_, funit, _) ->
+  Array.iteri
+    (fun i nd ->
       (* a reached node's direct witnesses are exactly what lifted its
          fixpoint class above Seeded, so reporting them covers [eff] *)
       if parent.(i) >= -1 && rank eff.(i) >= rank Ambient then
@@ -180,10 +130,10 @@ let check g =
             let rule =
               if w.wclass = Nondet then "effect-nondet" else "effect-ambient"
             in
-            let trail = String.concat " → " (chain i []) in
+            let trail = String.concat " → " (Fixpoint.chain ~keys ~parent i) in
             issues :=
               {
-                Report.file = funit.Callgraph.ufile;
+                Report.file = nd.Callgraph.nunit.Callgraph.ufile;
                 line = w.wline;
                 rule;
                 message =

@@ -16,18 +16,6 @@ type effect_class = Pure | Seeded | Ambient | Nondet
 
 val class_name : effect_class -> string
 val rank : effect_class -> int
-val join : effect_class -> effect_class -> effect_class
-val leq : effect_class -> effect_class -> bool
-
-val solve :
-  n:int ->
-  base:effect_class array ->
-  edges:(int * int) list ->
-  effect_class array
-(** Least fixpoint of effect propagation over a caller → callee edge
-    list: [eff i = join base.(i) (join of eff j over edges (i, j))].
-    Exposed separately so the property tests can check that the solution
-    is monotone under edge addition. *)
 
 val classify_external : string list -> (effect_class * string) option
 (** Effect of a primitive path that resolves to no scanned binding

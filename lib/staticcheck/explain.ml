@@ -117,30 +117,6 @@ let rules =
        Fix: move the printing to a caller outside the hot module, or\n\
        raise with a static message.\n\
        Waive: (* lint:ignore hot-path-printf: reason *) on the line." );
-    ( "shard-escape",
-      "Host-owned mutable state (anything reachable from a Host.t,\n\
-       Smp_host.t, Vm.t or Domain.t) can alias across hosts: a cluster\n\
-       unit touches host state outside a declared boundary function, a\n\
-       spawned closure captures a host-bound local (the shard-pool idiom\n\
-       creates its hosts inside the worker), a simulation entry returns\n\
-       host state, or a host value is stored in a global table.  The\n\
-       planned sharded runtime gives each worker domain its own hosts\n\
-       and calendar queue; escaping state would race across shards.\n\
-       The message shows the constructor/API → … → escape-site chain.\n\
-       Fix: confine the value to one host, or declare a legitimate\n\
-       cross-host coupling point with (* shard: boundary *) on (or\n\
-       directly above) the binding — the placement/migration epoch\n\
-       channels in lib/cluster are the model.\n\
-       Waive: (* lint:ignore shard-escape: reason *) on the line." );
-    ( "shard-unknown-flow",
-      "A host-bound value flows where the ownership pass cannot follow:\n\
-       an argument to a call that does not resolve to any scanned\n\
-       binding, or through an indirect record-field call.  Unknown\n\
-       flows default to escaping — the confinement proof must cover\n\
-       every flow.\n\
-       Fix: qualify the call so it resolves to a scanned binding, or\n\
-       keep host-owned values out of unresolved calls.\n\
-       Waive: (* lint:ignore shard-unknown-flow: reason *)." );
     ( "float-fold-order",
       "Non-associative float accumulation (+. or *.) over an iteration\n\
        whose order is not fixed: a Hashtbl.fold/iter closure, a fold\n\

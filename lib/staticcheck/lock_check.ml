@@ -36,52 +36,27 @@ type racc = {
 }
 
 let check g =
-  (* deterministic: lookup-only table keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
-  let node_refs =
-    Array.of_list (List.map (fun (_, _, body) -> Ast_util.guarded_refs body) nodes)
-  in
-  let node_unit = Array.of_list (List.map (fun (_, u, _) -> u) nodes) in
+  let nodes = Callgraph.nodes g in
+  let node_refs = Array.map (fun nd -> Ast_util.guarded_refs nd.Callgraph.nbody) nodes in
+  let node_unit = Array.map (fun nd -> nd.Callgraph.nunit) nodes in
   (* --- entry-reachability over resolved call edges --- *)
-  let out = Array.make (max n 1) [] in
+  let edges = ref [] in
   Array.iteri
     (fun i refs ->
       List.iter
         (fun (path, _, _, _) ->
           match Callgraph.resolve g ~cur:node_unit.(i) path with
           | Callgraph.Fun { fkey; _ } -> (
-              match Hashtbl.find_opt index fkey with
-              | Some j when i <> j -> out.(i) <- j :: out.(i)
+              match Callgraph.index g fkey with
+              | Some j when i <> j -> edges := (i, j) :: !edges
               | _ -> ())
           | _ -> ())
         refs)
     node_refs;
-  let reachable = Array.make (max n 1) false in
-  let q = Queue.create () in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when not reachable.(i) ->
-          reachable.(i) <- true;
-          Queue.add i q
-      | _ -> ())
-    (Callgraph.entry_keys g);
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if not reachable.(j) then begin
-          reachable.(j) <- true;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
+  let parent =
+    Fixpoint.bfs ~n:(Array.length nodes) ~edges:!edges
+      ~sources:(List.filter_map (Callgraph.index g) (Callgraph.entry_keys g))
+  in
   (* --- collect access sites on unsynchronized roots --- *)
   let roots : (string * racc) list ref = ref [] in
   let record ~cur ~shared (path, line, guard, written) =
@@ -110,7 +85,7 @@ let check g =
     | _ -> ()
   in
   Array.iteri
-    (fun i refs -> List.iter (record ~cur:node_unit.(i) ~shared:reachable.(i)) refs)
+    (fun i refs -> List.iter (record ~cur:node_unit.(i) ~shared:(parent.(i) >= -1)) refs)
     node_refs;
   List.iter
     (fun u ->

@@ -3,10 +3,10 @@ module Unit_check = Unit_check
 module Domain_check = Domain_check
 module Ast_util = Ast_util
 module Callgraph = Callgraph
+module Fixpoint = Fixpoint
 module Effect_check = Effect_check
 module Lock_check = Lock_check
 module Alloc_check = Alloc_check
-module Ownership_check = Ownership_check
 module Fold_check = Fold_check
 module Explain = Explain
 module Sarif = Sarif
@@ -40,7 +40,7 @@ let module_name_of file =
    everything, plus file-scoped symbol waivers ([lint:ignore RULE
    @Path]) with the spellings the lock pass supplies.
 
-   [jobs > 1] runs the four interprocedural passes on their own
+   [jobs > 1] runs the three interprocedural passes on their own
    domains (parsing stays serial: the compiler-libs lexer/parser keep
    global state).  The passes are pure over the immutable graph and are
    joined in a fixed order, so the issue list — and any SARIF rendered
@@ -69,25 +69,22 @@ let run_passes_timed ?(jobs = 1) ?clock ~registry sources =
         (parsed, errors, g))
   in
   let srcs = List.map (fun (f, c, _) -> (f, c)) parsed in
-  let run4 f1 f2 f3 f4 =
+  let run3 f1 f2 f3 =
     if jobs > 1 then begin
-      let d2 = Domain.spawn f2 and d3 = Domain.spawn f3 and d4 = Domain.spawn f4 in
+      let d2 = Domain.spawn f2 and d3 = Domain.spawn f3 in
       let r1 = f1 () in
-      (r1, Domain.join d2, Domain.join d3, Domain.join d4)
+      (r1, Domain.join d2, Domain.join d3)
     end
-    else (f1 (), f2 (), f3 (), f4 ())
+    else (f1 (), f2 (), f3 ())
   in
-  let ( (effect_issues, t_eff),
-        ((lock_issues, lock_symbols), t_lock),
-        (alloc_issues, t_alloc),
-        (ownership_issues, t_own) ) =
-    run4
+  let (effect_issues, t_eff), ((lock_issues, lock_symbols), t_lock), (alloc_issues, t_alloc)
+      =
+    run3
       (fun () -> timed "effect" (fun () -> Effect_check.check g))
       (fun () -> timed "lock" (fun () -> Lock_check.check g))
       (fun () -> timed "alloc" (fun () -> Alloc_check.check ~sources:srcs g))
-      (fun () -> timed "ownership" (fun () -> Ownership_check.check ~sources:srcs g))
   in
-  let global = effect_issues @ lock_issues @ alloc_issues @ ownership_issues in
+  let global = effect_issues @ lock_issues @ alloc_issues in
   let issues, t_perfile =
     timed "perfile" (fun () ->
         List.concat_map
@@ -102,7 +99,7 @@ let run_passes_timed ?(jobs = 1) ?clock ~registry sources =
               (per_file @ of_this_file))
           parsed)
   in
-  (Report.sort (errors @ issues), [ t_parse; t_eff; t_lock; t_alloc; t_own; t_perfile ])
+  (Report.sort (errors @ issues), [ t_parse; t_eff; t_lock; t_alloc; t_perfile ])
 
 let run_passes ~registry sources = fst (run_passes_timed ~registry sources)
 
@@ -136,29 +133,16 @@ let analyze_paths_timed ?jobs ?clock roots =
 
 let analyze_paths roots = fst (analyze_paths_timed roots)
 
-let parsed_of_paths roots =
-  List.filter_map
-    (fun (file, content) ->
-      match parse_with Parse.implementation ~file content with
-      | exception _ -> None
-      | str -> Some (file, content, str))
-    (sources_of_paths roots)
-
 (* The static half of the static/dynamic zero-alloc consistency
    contract: every [(* alloc: none *)] root key under the given roots. *)
 let alloc_roots_of_paths roots =
-  let parsed = parsed_of_paths roots in
-  let g = Callgraph.build (List.map (fun (f, _, str) -> (f, str)) parsed) in
-  Alloc_check.annotated_keys ~sources:(List.map (fun (f, c, _) -> (f, c)) parsed) g
-
-(* The confinement verdicts behind [analyze --shard-roots]: one line per
-   mutable root of the host-state units, [key \t kind \t class]. *)
-let shard_roots_of_paths roots =
-  let parsed = parsed_of_paths roots in
-  let g = Callgraph.build (List.map (fun (f, _, str) -> (f, str)) parsed) in
-  let sources = List.map (fun (f, c, _) -> (f, c)) parsed in
-  List.map
-    (fun (r : Ownership_check.root_report) ->
-      Printf.sprintf "%s\t%s\t%s" r.Ownership_check.okey r.Ownership_check.okind
-        (Ownership_check.class_name r.Ownership_check.oclass))
-    (Ownership_check.roots ~sources g)
+  let parsed =
+    List.filter_map
+      (fun (file, content) ->
+        match parse_with Parse.implementation ~file content with
+        | exception _ -> None
+        | str -> Some ((file, str), (file, content)))
+      (sources_of_paths roots)
+  in
+  Alloc_check.annotated_keys ~sources:(List.map snd parsed)
+    (Callgraph.build (List.map fst parsed))

@@ -20,7 +20,8 @@
       parallel job results.
 
     {b Whole program}, over the cross-module call graph ({!Callgraph})
-    of every unit analyzed together:
+    of every unit analyzed together, sharing one lattice solver and
+    shortest-chain search ({!Fixpoint}):
 
     - the {b determinism effect pass} ({!Effect_check}):
       [effect-nondet], [effect-ambient] — classifies every binding into
@@ -35,14 +36,7 @@
       [alloc-in-hot-path], [alloc-unknown-callee] — classifies every
       binding into [NoAlloc < BoundedAlloc < Alloc] and proves the
       [(* alloc: none *)]-annotated hot roots allocation-free, with the
-      full root → … → site chain on every violation;
-    - the {b ownership/escape pass} ({!Ownership_check}):
-      [shard-escape], [shard-unknown-flow] — classifies every binding
-      into [HostConfined < ShardConfined < BoundaryChannel < Escaping]
-      and proves the mutable state of the host-state units confinable to
-      one shard, with cross-host coupling declared by
-      [(* shard: boundary *)] markers and the constructor → … →
-      escape-site chain on every violation.
+      full root → … → site chain on every violation.
 
     A file that does not parse yields a single [parse-error] issue.
     Line waivers (["lint:ignore"]), file-scoped symbol waivers
@@ -56,10 +50,10 @@ module Unit_check = Unit_check
 module Domain_check = Domain_check
 module Ast_util = Ast_util
 module Callgraph = Callgraph
+module Fixpoint = Fixpoint
 module Effect_check = Effect_check
 module Lock_check = Lock_check
 module Alloc_check = Alloc_check
-module Ownership_check = Ownership_check
 module Fold_check = Fold_check
 module Explain = Explain
 module Sarif = Sarif
@@ -90,8 +84,8 @@ val analyze_paths_timed :
   string list ->
   Report.issue list * (string * float) list
 (** Like {!analyze_paths}, also returning per-pass wall times
-    [("parse" | "effect" | "lock" | "alloc" | "ownership" | "perfile") *
-    seconds].  [jobs > 1] runs the four interprocedural passes on their
+    [("parse" | "effect" | "lock" | "alloc" | "perfile") * seconds].
+    [jobs > 1] runs the three interprocedural passes on their
     own domains; the issue list is byte-identical for every [jobs] value
     (passes are pure and joined in a fixed order).  [clock] supplies the
     timer (the driver passes [Unix.gettimeofday]; without it the times
@@ -101,9 +95,3 @@ val alloc_roots_of_paths : string list -> string list
 (** The sorted [(* alloc: none *)] hot-root keys under the given roots —
     what the static/dynamic consistency test compares against the
     microbench zero-alloc targets. *)
-
-val shard_roots_of_paths : string list -> string list
-(** The machine-readable confinement report behind
-    [analyze --shard-roots]: one tab-separated [key kind class] line per
-    mutable root of the host-state units under the given roots, sorted
-    by key ({!Ownership_check.roots}). *)

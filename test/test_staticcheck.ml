@@ -453,83 +453,143 @@ let test_alloc_consistency () =
   check_int "both directions fail together" 2
     (List.length (consistency ~annotated:[ "A.f" ] ~benched:[ "B.g" ]))
 
-(* ----- effect lattice: qcheck properties over the exposed solver ----- *)
+(* ----- the shared lattice solver and chain search (Fixpoint) -----
 
-let classes = [| Staticcheck.Effect_check.Pure; Seeded; Ambient; Nondet |]
+   The solver is generic; each property runs on the lattices the passes
+   instantiate it with: the effect classes and the allocation classes.
+   Monotonicity and the fixpoint property sit in each pass's group, one
+   lattice apiece; leastness and the chain search run on both here. *)
 
-let solve_input =
-  QCheck.(
-    quad (int_range 1 8) (small_list (int_range 0 3))
-      (small_list (pair (int_range 0 7) (int_range 0 7)))
-      (small_list (pair (int_range 0 7) (int_range 0 7))))
+module Fixpoint = Staticcheck.Fixpoint
 
-let solve_fixture (n, codes, e1, e2) =
+let edges_gen = QCheck.(small_list (pair (int_range 0 7) (int_range 0 7)))
+let solve_input = QCheck.(quad (int_range 1 8) (small_list (int_range 0 3)) edges_gen edges_gen)
+let clamp n = List.filter (fun (a, b) -> a < n && b < n)
+
+type lattice_prop = {
+  prop : 'a. rank:('a -> int) -> 'a array -> (int * int) list -> (int * int) list -> bool;
+}
+
+let on_lattice classes rank { prop } (n, codes, e1, e2) =
   let base =
     Array.init n (fun i ->
-        classes.(match List.nth_opt codes i with Some c -> c | None -> i mod 4))
+        let c = match List.nth_opt codes i with Some c -> c | None -> i in
+        classes.(c mod Array.length classes))
   in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
+  prop ~rank base (clamp n e1) (clamp n e2)
 
-let test_solve_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"solve is monotone under edge addition" solve_input
-       (fun input ->
-         let n, base, e1, e2 = solve_fixture input in
-         let s1 = Staticcheck.Effect_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Effect_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Effect_check.leq s1 s2))
+let on_effects =
+  on_lattice Staticcheck.Effect_check.[| Pure; Seeded; Ambient; Nondet |]
+    Staticcheck.Effect_check.rank
 
-let test_solve_fixpoint =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"solve is a fixpoint above base" solve_input
-       (fun input ->
-         let n, base, e1, _ = solve_fixture input in
-         let s = Staticcheck.Effect_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Effect_check.leq base s
-         && List.for_all
-              (fun (caller, callee) -> Staticcheck.Effect_check.leq s.(callee) s.(caller))
-              e1))
+let on_alloc =
+  on_lattice Staticcheck.Alloc_check.[| NoAlloc; Bounded; Alloc |] Staticcheck.Alloc_check.rank
 
-(* The same properties over the allocation lattice's solver. *)
+let on_both_lattices prop input = on_effects prop input && on_alloc prop input
 
-let alloc_classes = [| Staticcheck.Alloc_check.NoAlloc; Bounded; Alloc |]
+let lattice_test ?(on = on_both_lattices) name prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name solve_input (on prop))
 
-let alloc_fixture (n, codes, e1, e2) =
-  let base =
-    Array.init n (fun i ->
-        alloc_classes.(match List.nth_opt codes i with Some c -> c mod 3 | None -> i mod 3))
-  in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
+let monotone =
+  {
+    prop =
+      (fun ~rank base e1 e2 ->
+        let s1 = Fixpoint.solve ~rank ~base ~edges:e1 in
+        let s2 = Fixpoint.solve ~rank ~base ~edges:(e1 @ e2) in
+        Array.for_all2 (Fixpoint.leq ~rank) s1 s2);
+  }
+
+let fixpoint_above_base =
+  {
+    prop =
+      (fun ~rank base e1 _ ->
+        let s = Fixpoint.solve ~rank ~base ~edges:e1 in
+        Array.for_all2 (Fixpoint.leq ~rank) base s
+        && List.for_all (fun (caller, callee) -> Fixpoint.leq ~rank s.(callee) s.(caller)) e1);
+  }
+
+let test_effect_solve_monotone =
+  lattice_test ~on:on_effects "solve is monotone under edge addition" monotone
+
+let test_effect_solve_fixpoint =
+  lattice_test ~on:on_effects "solve is a fixpoint above base" fixpoint_above_base
 
 let test_alloc_solve_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"alloc solve is monotone under edge addition"
-       solve_input (fun input ->
-         let n, base, e1, e2 = alloc_fixture input in
-         let s1 = Staticcheck.Alloc_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Alloc_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Alloc_check.leq s1 s2))
+  lattice_test ~on:on_alloc "alloc solve is monotone under edge addition" monotone
 
 let test_alloc_solve_fixpoint =
+  lattice_test ~on:on_alloc "alloc solve is a fixpoint above base" fixpoint_above_base
+
+(* Nodes reachable from [i] (itself included), by a plain DFS. *)
+let reachable ~n edges i =
+  let seen = Array.make n false in
+  let rec dfs j =
+    if not seen.(j) then begin
+      seen.(j) <- true;
+      List.iter (fun (a, b) -> if a = j then dfs b) edges
+    end
+  in
+  dfs i;
+  seen
+
+(* Least, not merely a fixpoint: a solver that lifted every node to the
+   top class would pass the two properties above. *)
+let test_solve_least =
+  lattice_test "solve is the least fixpoint"
+    {
+      prop =
+        (fun ~rank base e1 _ ->
+          let n = Array.length base in
+          let s = Fixpoint.solve ~rank ~base ~edges:e1 in
+          List.for_all
+            (fun i ->
+              let seen = reachable ~n e1 i in
+              let highest = ref 0 in
+              Array.iteri (fun j r -> if r then highest := max !highest (rank base.(j))) seen;
+              rank s.(i) = !highest)
+            (List.init n Fun.id));
+    }
+
+(* BFS distances from the sources by plain relaxation, [max_int] when
+   unreached. *)
+let distances ~n edges sources =
+  let d = Array.make n max_int in
+  List.iter (fun i -> d.(i) <- 0) sources;
+  for _ = 1 to n do
+    List.iter (fun (a, b) -> if d.(a) < max_int && d.(a) + 1 < d.(b) then d.(b) <- d.(a) + 1) edges
+  done;
+  d
+
+let test_bfs_chain =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"alloc solve is a fixpoint above base" solve_input
-       (fun input ->
-         let n, base, e1, _ = alloc_fixture input in
-         let s = Staticcheck.Alloc_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Alloc_check.leq base s
-         && List.for_all
-              (fun (caller, callee) -> Staticcheck.Alloc_check.leq s.(callee) s.(caller))
-              e1))
+    (QCheck.Test.make ~count:300 ~name:"bfs chain is shortest and stable"
+       QCheck.(triple (int_range 1 8) (small_list (int_range 0 7)) edges_gen)
+       (fun (n, sources, edges) ->
+         let sources = List.filter (fun i -> i < n) sources in
+         let edges = clamp n edges in
+         let keys = Array.init n string_of_int in
+         let parent = Fixpoint.bfs ~n ~edges ~sources in
+         let rerun = Fixpoint.bfs ~n ~edges:(List.rev edges) ~sources in
+         let d = distances ~n edges sources in
+         List.for_all
+           (fun i ->
+             if d.(i) = max_int then parent.(i) = -2
+             else
+               let chain = List.map int_of_string (Fixpoint.chain ~keys ~parent i) in
+               let rec linked = function
+                 | a :: (b :: _ as rest) -> List.mem (a, b) edges && linked rest
+                 | _ -> true
+               in
+               parent.(i) >= -1
+               && List.length chain = d.(i) + 1
+               && List.mem (List.hd chain) sources
+               && List.nth chain d.(i) = i
+               && linked chain
+               && Fixpoint.chain ~keys ~parent:rerun i = Fixpoint.chain ~keys ~parent i)
+           (List.init n Fun.id)))
 
-(* ----- ownership/escape pass -----
-
-   Single-unit fixtures use an entry-bearing or host-unit file name
-   (host.ml is the [Host] unit); cross-unit fixtures (cluster flows,
-   boundary annotations, re-exports) write a temp tree and run
-   [analyze_paths] on it. *)
-
+(* Writes [files] under a fresh temp directory, runs [f] on it, then
+   removes the tree. *)
 let with_tmp_tree files f =
   let dir = Filename.temp_file "staticcheck" "" in
   Sys.remove dir;
@@ -555,106 +615,6 @@ let with_tmp_tree files f =
         !created;
       Sys.rmdir dir)
     (fun () -> f dir)
-
-let test_ownership_spawn_capture () =
-  Alcotest.(check (list string)) "host-bound local captured by a spawn"
-    [ "shard-escape" ]
-    (rules
-       (analyze ~file:"lib/fake/host.ml"
-          "let create () = ref 0\n\
-           let bad () = let h = create () in Domain.spawn (fun () -> ignore !h)\n"));
-  Alcotest.(check (list string)) "shard-pool idiom: host created inside the worker" []
-    (rules
-       (analyze ~file:"lib/fake/host.ml"
-          "let create () = ref 0\n\
-           let ok () = Domain.spawn (fun () -> let h = create () in ignore !h)\n"))
-
-let test_ownership_entry_return () =
-  Alcotest.(check (list string)) "host returned through a simulation entry"
-    [ "shard-escape" ]
-    (rules
-       (analyze ~file:"lib/experiments/vm.ml"
-          "let create () = ref 0\nlet run () = create ()\n"));
-  Alcotest.(check (list string)) "host consumed inside the entry is fine" []
-    (rules
-       (analyze ~file:"lib/experiments/vm.ml"
-          "let create () = ref 0\nlet run () = let v = create () in ignore v; 42\n"))
-
-let test_ownership_global_registration () =
-  Alcotest.(check (list string)) "host stored in a global table"
-    [ "shard-escape" ]
-    (rules
-       (analyze ~file:"lib/fake/host.ml"
-          "let table = Hashtbl.create 8\n\
-           let create () = ref 0\n\
-           let register () = let h = create () in Hashtbl.add table \"h\" h\n"))
-
-let test_ownership_unknown_flow () =
-  Alcotest.(check (list string)) "host passed to an unresolved callee"
-    [ "shard-unknown-flow" ]
-    (rules
-       (analyze ~file:"lib/fake/host.ml"
-          "let create () = ref 0\nlet leak () = let h = create () in Stash.keep h\n"));
-  Alcotest.(check (list string)) "discarding a host is fine" []
-    (rules
-       (analyze ~file:"lib/fake/host.ml"
-          "let create () = ref 0\nlet fine () = let h = create () in ignore h\n"))
-
-let shard_rules issues =
-  rules
-    (List.filter
-       (fun i -> i.Report.rule = "shard-escape" || i.Report.rule = "shard-unknown-flow")
-       issues)
-
-let test_ownership_cluster_boundary () =
-  let host = "let create () = ref 0\nlet poke h = incr h\n" in
-  with_tmp_tree
-    [ ("host.ml", host); ("cluster/manager.ml", "let touch h = Host.poke h\n") ]
-    (fun dir ->
-      match
-        List.filter
-          (fun i -> i.Report.rule = "shard-escape")
-          (Staticcheck.analyze_paths [ dir ])
-      with
-      | [ i ] ->
-          check_bool "witness names the host API" true (contains i.Report.message "Host.poke");
-          check_bool "chain reaches the cluster caller" true
-            (contains i.Report.message "Host.poke → Manager.touch")
-      | _ -> Alcotest.fail "expected exactly one shard-escape");
-  with_tmp_tree
-    [
-      ("host.ml", host);
-      ( "cluster/manager.ml",
-        "(* shard: boundary — declared test channel *)\nlet touch h = Host.poke h\n" );
-    ]
-    (fun dir ->
-      Alcotest.(check (list string)) "annotated boundary function is legal" []
-        (shard_rules (Staticcheck.analyze_paths [ dir ])))
-
-(* The machine-readable confinement report: classes flow from the
-   simulation entry (ShardConfined) and through a declared cluster
-   boundary (BoundaryChannel) into exactly the fields those paths
-   touch. *)
-let test_ownership_shard_roots () =
-  with_tmp_tree
-    [
-      ( "host.ml",
-        "type t = { mutable n : int; series : float array }\n\
-         let create () = { n = 0; series = [||] }\n\
-         let bump t = t.n <- t.n + 1\n" );
-      ( "experiments/exp.ml",
-        "let run () = let h = Host.create () in Host.bump h; 0\n" );
-      ( "cluster/mgr.ml",
-        "(* shard: boundary — test channel *)\nlet drain h = Host.bump h\n" );
-    ]
-    (fun dir ->
-      let lines = Staticcheck.shard_roots_of_paths [ dir ] in
-      Alcotest.(check (list string)) "verdict per mutable root, sorted"
-        [
-          "Host.t.n\tmutable field\tBoundaryChannel";
-          "Host.t.series\tarray\tShardConfined";
-        ]
-        lines)
 
 (* ----- callgraph resolution edge cases ----- *)
 
@@ -734,43 +694,6 @@ let test_fold_order () =
   check_rules "waived deliberate reduction" []
     "let total h = Hashtbl.fold (fun _ v acc -> acc +. v) h 0.0 (* lint:ignore \
      float-fold-order: audited *)\n"
-
-(* The same qcheck properties over the confinement lattice's solver. *)
-
-let ownership_classes =
-  [|
-    Staticcheck.Ownership_check.Host_confined; Shard_confined; Boundary_channel;
-    Escaping;
-  |]
-
-let ownership_fixture (n, codes, e1, e2) =
-  let base =
-    Array.init n (fun i ->
-        ownership_classes.(match List.nth_opt codes i with Some c -> c | None -> i mod 4))
-  in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
-
-let test_ownership_solve_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"ownership solve is monotone under edge addition"
-       solve_input (fun input ->
-         let n, base, e1, e2 = ownership_fixture input in
-         let s1 = Staticcheck.Ownership_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Ownership_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Ownership_check.leq s1 s2))
-
-let test_ownership_solve_fixpoint =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"ownership solve is a fixpoint above base"
-       solve_input (fun input ->
-         let n, base, e1, _ = ownership_fixture input in
-         let s = Staticcheck.Ownership_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Ownership_check.leq base s
-         && List.for_all
-              (fun (caller, callee) ->
-                Staticcheck.Ownership_check.leq s.(callee) s.(caller))
-              e1))
 
 (* ----- SARIF: minimal JSON reader and round-trip ----- *)
 
@@ -1029,7 +952,7 @@ let test_explain_coverage () =
       "experiment-state"; "effect-nondet"; "effect-ambient"; "lock-discipline";
       "alloc-in-hot-path"; "alloc-unknown-callee"; "float-eq"; "random";
       "assert-false"; "mutable-doc"; "hashtbl-create"; "hot-path-printf";
-      "shard-escape"; "shard-unknown-flow"; "float-fold-order";
+      "float-fold-order";
     ];
   check_bool "unknown rule has no entry" true (Staticcheck.Explain.find "no-such-rule" = None)
 
@@ -1079,8 +1002,8 @@ let test_driver_exit_code () =
    hot-path allocation fails the build with the chain in the SARIF
    message, the report is byte-identical across repeated runs and every
    --jobs value, --alloc-roots prints the annotated keys, the per-pass
-   timing covers the alloc pass, and every new rule has an --explain
-   entry. *)
+   timing names exactly the passes that run, and every new rule has an
+   --explain entry. *)
 let test_driver_alloc_determinism () =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze_main.exe"
@@ -1128,9 +1051,18 @@ let test_driver_alloc_determinism () =
     (String.equal (Report.read_file roots_path) "Hot.hot\nHot.sample\n");
   let timing_path = Filename.concat dir "t.json" in
   ignore (run [ "--timing"; timing_path; dir ]);
-  let tj = Report.read_file timing_path in
-  check_bool "per-pass timing covers the alloc pass" true
-    (contains tj "\"alloc_seconds\"" && contains tj "dvfs-analyze-timing/1");
+  (match parse_json (Report.read_file timing_path) with
+  | J_obj fields ->
+      Alcotest.(check (list string))
+        "timing file carries the total and exactly the per-pass keys"
+        [
+          "schema"; "analyze_seconds"; "parse_seconds"; "effect_seconds"; "lock_seconds";
+          "alloc_seconds"; "perfile_seconds";
+        ]
+        (List.map fst fields);
+      Alcotest.(check string) "timing schema" "dvfs-analyze-timing/1"
+        (as_str (member "schema" (J_obj fields)))
+  | _ -> Alcotest.fail "timing file is not a JSON object");
   List.iter
     (fun rule ->
       check_int ("--explain " ^ rule ^ " exits 0") 0 (run [ "--explain"; rule ]))
@@ -1138,7 +1070,7 @@ let test_driver_alloc_determinism () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* Satellite of the shard prover: the committed SARIF baseline must be
+(* The committed SARIF baseline must be
    empty — every legacy finding has been fixed or carries an in-source
    waiver, so a fresh finding can never hide behind the baseline. *)
 let test_baseline_is_empty () =
@@ -1147,68 +1079,6 @@ let test_baseline_is_empty () =
   in
   check_int "committed analysis baseline carries no findings" 0
     (List.length (Staticcheck.Sarif.load path))
-
-(* The ownership pass end to end through the driver: a planted cluster
-   flow fails the build with the constructor→escape chain in the SARIF
-   message, the report is byte-identical across repeated runs and every
-   --jobs value, --shard-roots prints the per-root confinement verdicts,
-   and the per-pass timing covers the ownership pass. *)
-let test_driver_shard_determinism () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze_main.exe"
-  in
-  let dir = Filename.temp_file "shardcheck" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "cluster") 0o755;
-  let write name content =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc content;
-    close_out oc
-  in
-  let run ?stdout args =
-    Sys.command
-      (Filename.quote_command exe args
-         ~stdout:(Option.value stdout ~default:Filename.null)
-         ~stderr:Filename.null)
-  in
-  write "host.ml"
-    "type t = { mutable n : int }\n\
-     let create () = { n = 0 }\n\
-     let bump t = t.n <- t.n + 1\n";
-  write (Filename.concat "cluster" "mgr.ml") "let touch h = Host.bump h\n";
-  let sarif_of name args =
-    let path = Filename.concat dir name in
-    check_bool "planted cluster flow exits nonzero" true
-      (run ([ "--sarif"; path ] @ args @ [ dir ]) <> 0);
-    Report.read_file path
-  in
-  let s1 = sarif_of "r1.sarif" [] in
-  let s2 = sarif_of "r2.sarif" [] in
-  check_bool "repeated runs are byte-identical" true (String.equal s1 s2);
-  List.iter
-    (fun jobs ->
-      let s = sarif_of ("j" ^ jobs ^ ".sarif") [ "--jobs"; jobs ] in
-      check_bool ("--jobs " ^ jobs ^ " is byte-identical") true (String.equal s1 s))
-    [ "1"; "2"; "4" ];
-  check_bool "escape chain reaches the SARIF report" true
-    (contains s1 "shard-escape" && contains s1 "Host.bump → Mgr.touch");
-  let roots_path = Filename.concat dir "roots.txt" in
-  check_int "--shard-roots exits 0" 0 (run ~stdout:roots_path [ "--shard-roots"; dir ]);
-  check_bool "verdict names the mutable root and its class" true
-    (contains (Report.read_file roots_path) "Host.t.n\tmutable field\t");
-  let timing_path = Filename.concat dir "t.json" in
-  ignore (run [ "--timing"; timing_path; dir ]);
-  check_bool "per-pass timing covers the ownership pass" true
-    (contains (Report.read_file timing_path) "\"ownership_seconds\"");
-  Array.iter
-    (fun f ->
-      let p = Filename.concat dir f in
-      if not (Sys.is_directory p) then Sys.remove p)
-    (Sys.readdir dir);
-  Sys.remove (Filename.concat dir "cluster/mgr.ml");
-  Sys.rmdir (Filename.concat dir "cluster");
-  Sys.rmdir dir
 
 let () =
   Alcotest.run "staticcheck"
@@ -1235,9 +1105,10 @@ let () =
           Alcotest.test_case "ambient reads" `Quick test_effect_ambient;
           Alcotest.test_case "seeded draws are clean" `Quick test_effect_seeded_clean;
           Alcotest.test_case "use-site waiver" `Quick test_effect_waiver;
-          test_solve_monotone;
-          test_solve_fixpoint;
+          test_effect_solve_monotone;
+          test_effect_solve_fixpoint;
         ] );
+      ("fixpoint", [ test_solve_least; test_bfs_chain ]);
       ( "locks",
         [
           Alcotest.test_case "mixed guarded/bare" `Quick test_lock_mixed;
@@ -1259,18 +1130,6 @@ let () =
           Alcotest.test_case "driver determinism" `Quick test_driver_alloc_determinism;
           test_alloc_solve_monotone;
           test_alloc_solve_fixpoint;
-        ] );
-      ( "ownership",
-        [
-          Alcotest.test_case "spawn capture" `Quick test_ownership_spawn_capture;
-          Alcotest.test_case "entry return" `Quick test_ownership_entry_return;
-          Alcotest.test_case "global registration" `Quick test_ownership_global_registration;
-          Alcotest.test_case "unknown flow" `Quick test_ownership_unknown_flow;
-          Alcotest.test_case "cluster boundary" `Quick test_ownership_cluster_boundary;
-          Alcotest.test_case "shard roots report" `Quick test_ownership_shard_roots;
-          Alcotest.test_case "driver determinism" `Quick test_driver_shard_determinism;
-          test_ownership_solve_monotone;
-          test_ownership_solve_fixpoint;
         ] );
       ( "callgraph",
         [
