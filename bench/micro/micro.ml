@@ -273,6 +273,84 @@ let bench_pi_advance () =
   measure ~name:"pi/advance" ~ops:100_000 ~warmup:1_000 (fun () ->
       Workloads.Workload.advance w ~now ~dt)
 
+(* A web guest served a slice after every tick, at a rate the slices
+   keep up with: each execute catches up the deferred tick and recomputes
+   the due tick. *)
+let bench_web_defer () =
+  let app =
+    Workloads.Web_app.create ~timeout:(Sim_time.of_sec 1)
+      ~rate_schedule:[ (Sim_time.zero, 0.08) ] ()
+  in
+  let w = Workloads.Web_app.workload app in
+  let now = ref Sim_time.zero and dt = Sim_time.of_ms 1 and slice = Sim_time.of_us 100 in
+  measure ~name:"web/defer" ~ops:100_000 ~warmup:2_000 (fun () ->
+      now := Sim_time.add !now dt;
+      Workloads.Workload.advance w ~now:!now ~dt;
+      ignore (Workloads.Workload.execute w ~now:!now ~cpu_time:slice ~speed:1.0))
+
+(* A pi job offered more than it earns per tick, so every execute drains
+   its tokens and the due tick flips between "next tick" and "never";
+   between executes the ticks are deferred and caught up. *)
+let bench_pi_defer () =
+  let app = Workloads.Pi_app.create ~duty_cycle:0.5 ~work:1e9 () in
+  let w = Workloads.Pi_app.workload app in
+  let now = ref Sim_time.zero and dt = Sim_time.of_ms 1 and ticks = ref 0 in
+  measure ~name:"pi/defer" ~ops:100_000 ~warmup:1_000 (fun () ->
+      now := Sim_time.add !now dt;
+      incr ticks;
+      Workloads.Workload.advance w ~now:!now ~dt;
+      if !ticks mod 3 = 0 then
+        ignore (Workloads.Workload.execute w ~now:!now ~cpu_time:dt ~speed:1.0))
+
+(* A dense-pas host on Credit: Dom0 and 24 capped guests — 12 web (four
+   at exact load and four thrashing within a window, four thrashing
+   throughout), 6 pi jobs and 6 idle guests.  The host's own events are
+   cancelled and a no-op 1 ms event moves the clock, so each op is one
+   dispatch tick at the next millisecond (with the 30 ms refill) and the
+   workloads see contiguous ticks, as in a run. *)
+let bench_dispatch_tick_dense () =
+  let sec = Sim_time.of_sec in
+  let web ?window rate =
+    let rate_schedule =
+      match window with
+      | Some (a, b) -> [ (sec a, rate); (sec b, 0.0) ]
+      | None -> [ (Sim_time.zero, rate) ]
+    in
+    Workloads.Web_app.workload
+      (Workloads.Web_app.create ~timeout:(sec 2) ~rate_schedule ())
+  in
+  let guest i =
+    let credit = float_of_int (2 + (i mod 3)) in
+    let w =
+      if i < 4 then web ~window:(1 + i, 60 + i) (credit /. 100.0)
+      else if i < 8 then web ~window:(i, 50 + i) (credit /. 100.0 *. 3.0)
+      else if i < 12 then web (credit /. 100.0 *. 2.5)
+      else if i < 18 then
+        Workloads.Pi_app.workload
+          (Workloads.Pi_app.create ~duty_cycle:(0.3 +. (0.1 *. float_of_int (i - 12))) ~work:1e6 ())
+      else Workloads.Workload.idle ()
+    in
+    Domain.create ~name:(Printf.sprintf "G%02d" i) ~credit_pct:credit w
+  in
+  let domains =
+    Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:10.0 (Workloads.Workload.idle ())
+    :: List.init 24 guest
+  in
+  let sim = Simulator.create () in
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let scheduler = Sched_credit.create domains in
+  let host = Host.create ~sim ~processor ~scheduler () in
+  Host.stop host;
+  ignore (Simulator.every sim (Sim_time.of_ms 1) (fun () -> ()));
+  let ticks = ref 0 in
+  (* The warm-up outlasts the 2 s timeout of the phases that start by
+     then, so the request rings have reached their steady size. *)
+  measure ~name:"host/dispatch-tick-dense" ~ops:100_000 ~warmup:20_000 (fun () ->
+      ignore (Simulator.step sim);
+      incr ticks;
+      if !ticks mod 30 = 0 then scheduler.Scheduler.on_account_period ~now:(Host.now host);
+      Host.Internal.dispatch_tick host ())
+
 let bench_frame_csv () =
   let frame = Series.Frame.create () in
   for j = 0 to 3 do
@@ -292,6 +370,7 @@ let all_benches =
     bench_every_steady;
     bench_dispatch_tick;
     bench_dispatch_tick_capped;
+    bench_dispatch_tick_dense;
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
@@ -305,6 +384,8 @@ let all_benches =
     bench_credit_account;
     bench_web_advance;
     bench_pi_advance;
+    bench_web_defer;
+    bench_pi_defer;
     bench_frame_csv;
   ]
 
@@ -319,6 +400,7 @@ let zero_alloc_roots =
   [
     ("host/dispatch-tick", "Host.dispatch_tick");
     ("host/dispatch-tick-capped", "Host.dispatch_tick");
+    ("host/dispatch-tick-dense", "Host.dispatch_tick");
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");
@@ -332,9 +414,16 @@ let zero_alloc_roots =
     ("credit/account", "Sched_credit.on_account_period");
     ("web/advance", "Web_app.advance");
     ("pi/advance", "Pi_app.advance");
+    ("web/defer", "Web_app.due");
+    ("web/defer", "Web_app.catch_up");
+    ("pi/defer", "Pi_app.due");
+    ("pi/defer", "Pi_app.catch_up");
   ]
 
-let zero_alloc_names = List.map fst zero_alloc_roots
+let zero_alloc_names =
+  List.fold_left
+    (fun names (bench, _) -> if List.mem bench names then names else names @ [ bench ])
+    [] zero_alloc_roots
 let zero_alloc_epsilon = 0.01
 
 let results_json results =

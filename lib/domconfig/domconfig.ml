@@ -263,7 +263,7 @@ let build_workload spec =
       let app = Workloads.Pi_app.create ~duty_cycle:duty ~work () in
       (Workloads.Pi_app.workload app, App_pi app)
 
-let build t =
+let build ?(wrap = Fun.id) t =
   let sim = Simulator.create () in
   let processor = Processor.create t.arch in
   let domains =
@@ -272,7 +272,7 @@ let build t =
         let workload, app = build_workload spec in
         ( spec,
           Domain.create ~weight:spec.weight ~is_dom0:spec.dom0 ~vcpus:spec.vcpus
-            ~name:spec.name ~credit_pct:spec.credit workload,
+            ~name:spec.name ~credit_pct:spec.credit (wrap workload),
           app ))
       t.domains
   in

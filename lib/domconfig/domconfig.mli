@@ -77,10 +77,12 @@ type built = {
   duration : Sim_time.t;
 }
 
-val build : t -> built
+val build : ?wrap:(Workloads.Workload.t -> Workloads.Workload.t) -> t -> built
 (** Instantiates processor, workloads, domains, scheduler and governor.
     Does not run the simulation — call
-    [Hypervisor.Host.run_for built.host built.duration]. *)
+    [Hypervisor.Host.run_for built.host built.duration].  [wrap] (default
+    the identity) is applied to each workload before its domain is made,
+    for a caller that interposes on the workloads. *)
 
 val pp_spec : Format.formatter -> t -> unit
 (** Round-trippable rendering of a parsed configuration. *)

@@ -154,7 +154,6 @@ type experiment = {
   id : string;
   status : string;
   seconds : float;
-  cpu_seconds : float;
   alloc_mb : float;
   minor_words : float; (* 0 in schema /1 manifests *)
   major_words : float; (* 0 in schema /1 manifests *)
@@ -204,7 +203,10 @@ let of_string text =
               id = str_field item "id";
               status = str_field item "status";
               seconds = num_field item "seconds";
-              cpu_seconds = num_field item "cpu_seconds";
+              (* Manifests written before the runner stopped recording a
+                 per-experiment "cpu_seconds" (a process-wide CPU-clock
+                 delta, so wrong under the pool) still carry it; it is
+                 ignored. *)
               alloc_mb = num_field item "alloc_mb";
               (* Schema /1 predates the word counters; read them as 0 so
                  old trajectory files stay loadable. *)

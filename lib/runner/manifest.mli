@@ -5,7 +5,9 @@
     fresh run, and list the metrics that regressed beyond a tolerance.  It
     reads both schema versions — [dvfs-bench-manifest/2] (adds per-experiment
     [minor_words]/[major_words]) and the older [/1], whose missing word
-    counters load as [0.].
+    counters load as [0.].  The per-experiment [cpu_seconds] that older
+    files of both schemas carry (a process-wide CPU-clock delta, so wrong
+    under a pool) is ignored.
 
     Parsing is a self-contained recursive-descent JSON reader (no external
     dependency); it accepts any well-formed JSON document, so schema growth
@@ -20,7 +22,6 @@ type experiment = {
   id : string;
   status : string;  (** ["ok"] or ["failed"] *)
   seconds : float;  (** wall clock *)
-  cpu_seconds : float;
   alloc_mb : float;
   minor_words : float;  (** [0.] when loaded from a schema [/1] manifest *)
   major_words : float;  (** [0.] when loaded from a schema [/1] manifest *)

@@ -8,7 +8,6 @@ type job = {
   title : string;
   status : status;
   seconds : float;
-  cpu_seconds : float;
   alloc_mb : float;
   minor_words : float;
   major_words : float;
@@ -33,7 +32,7 @@ let jobs_env_var = Domconfig.jobs_env_var
    the effect pass's simulation-reachable ambient reads. *)
 let default_pool_size () = Domconfig.default_jobs ()
 
-(* Wall clock, CPU clock and GC counters below feed timing metadata only
+(* Wall clock and GC counters below feed timing metadata only
    (job seconds/alloc in reports and manifests); [strip_timings] zeroes
    them before any byte-for-byte comparison, so they are deliberately
    waived from the determinism effect pass. *)
@@ -44,7 +43,7 @@ let now () = Unix.gettimeofday () (* lint:ignore effect-nondet: timing metadata 
    back as an immutable [job]; an exception must never escape, or it would
    take the whole worker (and its remaining share of the queue) with it. *)
 let run_job ~scale (e : Experiment.t) =
-  let t0 = now () and c0 = Sys.time () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
+  let t0 = now () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
   let g0 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
   let status, rows, rendered =
     match Experiment.run e ~scale with
@@ -58,7 +57,6 @@ let run_job ~scale (e : Experiment.t) =
     title = e.Experiment.title;
     status;
     seconds = now () -. t0;
-    cpu_seconds = Sys.time () -. c0; (* lint:ignore effect-nondet: timing metadata *)
     alloc_mb = (Gc.allocated_bytes () -. a0) /. 1_048_576.0; (* lint:ignore effect-nondet: timing metadata *)
     minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
     major_words = g1.Gc.major_words -. g0.Gc.major_words;
@@ -117,7 +115,7 @@ let run_all ?pool_size ?(scale = 1.0) ?experiments () =
 
 (* ------------------------------------------------------------------ *)
 (* JSON manifest.  Flat enough to emit by hand; [strip_timings] zeroes the
-   wall-clock/cpu/alloc fields so two runs of the same registry can be
+   wall-clock/alloc fields so two runs of the same registry can be
    compared byte-for-byte. *)
 
 let json_escape s =
@@ -159,9 +157,9 @@ let manifest_json ?(strip_timings = false) ?analyze_seconds r =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"id\": \"%s\", \"status\": \"%s\"%s, \"seconds\": %.3f, \"cpu_seconds\": %.3f, \
+           "    {\"id\": \"%s\", \"status\": \"%s\"%s, \"seconds\": %.3f, \
             \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"major_words\": %.0f, \"rows\": %d}%s\n"
-           (json_escape j.id) status error (time j.seconds) (time j.cpu_seconds)
+           (json_escape j.id) status error (time j.seconds)
            (if strip_timings then 0.0 else j.alloc_mb)
            (time j.minor_words) (time j.major_words) j.rows
            (if i = List.length r.jobs - 1 then "" else ",")))
@@ -185,15 +183,12 @@ let print_outputs ppf r =
 
 let pp_summary ppf r =
   let failed = List.length (failures r) in
-  Format.fprintf ppf "ran %d experiments on %d domain(s) in %.1fs wall (%0.1fs cpu)@."
-    (List.length r.jobs) r.pool_size r.total_seconds
-    ((* lint:ignore float-fold-order: jobs is in registry order, not completion order *) List.fold_left
-       (fun acc j -> acc +. j.cpu_seconds)
-       0.0 r.jobs);
+  Format.fprintf ppf "ran %d experiments on %d domain(s) in %.1fs wall@."
+    (List.length r.jobs) r.pool_size r.total_seconds;
   List.iter
     (fun j ->
-      Format.fprintf ppf "  %-18s %-6s %6.1fs wall %6.1fs cpu %8.0f MB alloc %4d rows@." j.id
+      Format.fprintf ppf "  %-18s %-6s %6.1fs wall %8.0f MB alloc %4d rows@." j.id
         (match j.status with Done -> "ok" | Failed _ -> "FAILED")
-        j.seconds j.cpu_seconds j.alloc_mb j.rows)
+        j.seconds j.alloc_mb j.rows)
     r.jobs;
   if failed > 0 then Format.fprintf ppf "  %d experiment(s) FAILED@." failed

@@ -11,11 +11,12 @@
     - {b Failure isolation}: an experiment raising is recorded as a
       [Failed] job; the other jobs still run to completion.  Check
       {!failures} (the CLI exits non-zero when it is non-empty).
-    - {b Accounting}: per-job wall-clock, CPU seconds and allocated bytes,
-      plus a machine-readable JSON manifest ({!manifest_json}) for the
-      [BENCH_*.json] perf trajectory.  CPU-time and allocation figures come
-      from process-wide counters ([Sys.time], [Gc.allocated_bytes]) and are
-      approximate when several domains run concurrently. *)
+    - {b Accounting}: per-job wall-clock and allocated bytes, plus a
+      machine-readable JSON manifest ({!manifest_json}) for the
+      [BENCH_*.json] perf trajectory.  Allocation figures come from
+      [Gc.allocated_bytes] and are approximate when several domains run
+      concurrently.  There is no per-job CPU time: the process-wide CPU
+      clock would charge each job for its pool neighbours. *)
 
 module Manifest = Manifest
 (** Manifest reader + regression differ (see {!module-Manifest}). *)
@@ -27,7 +28,6 @@ type job = {
   title : string;
   status : status;
   seconds : float;  (** wall clock *)
-  cpu_seconds : float;
   alloc_mb : float;
   minor_words : float;  (** minor-heap words allocated ([Gc.quick_stat] delta) *)
   major_words : float;  (** major-heap words allocated, including promotions *)

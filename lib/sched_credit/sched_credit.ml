@@ -1,5 +1,6 @@
 module Domain = Hypervisor.Domain
 module Scheduler = Hypervisor.Scheduler
+module Workload = Workloads.Workload
 
 let inv_credit =
   Analysis.Invariant.register "credit.effective-credit-bounds"
@@ -17,6 +18,9 @@ type credit_cell = {
 
 type dom_state = {
   domain : Domain.t;
+  workload : Workload.t; (* the domain's, fixed at creation *)
+  polled : bool; (* static: no [~defer], so [has_work] may change at any time *)
+  mutable seen : int; (* workload version at the last wake detection *)
   capped_guest : bool; (* static: neither dom0 nor uncapped *)
   uncapped : bool; (* static: created with a null credit *)
   credit : credit_cell;
@@ -70,16 +74,23 @@ let state t d =
    (Xen's latency fix for I/O-bound domains) until its next dispatch.
    This is the one pass per pick that asks the workloads: the scans below
    read the [was_runnable] it stores.  Domains that can never run keep
-   [was_runnable = false] from creation, so they are not asked. *)
+   [was_runnable = false] from creation, so they are not asked.  Nor is a
+   deferring workload whose version has not moved since it was last asked:
+   its [has_work] cannot have changed (see {!Workload.version}), and
+   asking again would leave every flag as it is. *)
 let detect_wakes t =
   for k = 0 to Array.length t.live - 1 do
     let st = t.doms.(t.live.(k)) in
-    let runnable = Domain.runnable st.domain in
-    if t.boost && runnable && (not st.was_runnable) && not st.boosted then begin
-      st.boosted <- true;
-      t.boosted_count <- t.boosted_count + 1
-    end;
-    st.was_runnable <- runnable
+    let version = Workload.version st.workload in
+    if st.polled || version <> st.seen then begin
+      st.seen <- version;
+      let runnable = Workload.has_work st.workload in
+      if t.boost && runnable && (not st.was_runnable) && not st.boosted then begin
+        st.boosted <- true;
+        t.boosted_count <- t.boosted_count + 1
+      end;
+      st.was_runnable <- runnable
+    end
   done
 
 (* A capped domain is eligible when runnable, not excluded and holding
@@ -269,8 +280,12 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
          (fun d ->
            let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
            let uncapped = Domain.uncapped d in
+           let workload = Domain.workload d in
            {
              domain = d;
+             workload;
+             polled = not (Workload.defers workload);
+             seen = -1;
              capped_guest = (not (Domain.is_dom0 d)) && not uncapped;
              uncapped;
              credit = { effective_credit = Domain.initial_credit d };

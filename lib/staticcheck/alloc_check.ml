@@ -36,7 +36,7 @@
      floats through preallocated mutable records instead, so the model
      only tracks boxed {e returns} via the [float_returning] table;
    - indirect calls through the contract field labels (scheduler [pick]/
-     [charge], workload [advance]/[execute], queue [key]/[cmp], ...) are
+     [charge], workload [advance]/[due]/[catch_up]/[execute], queue [key]/[cmp], ...) are
      trusted at the call site; the implementations the benches exercise
      carry their own [(* alloc: none *)] annotations and are proven as
      independent roots;
@@ -103,7 +103,7 @@ let markers_of_source content =
    covered by the dynamic gate. *)
 let contract_labels =
   [
-    "pick"; "charge"; "on_account_period"; "advance"; "has_work"; "execute";
+    "pick"; "charge"; "on_account_period"; "advance"; "due"; "catch_up"; "has_work"; "execute";
     "key"; "cmp"; "action";
   ]
 

@@ -45,6 +45,25 @@ let advance t ~now:_ ~dt =
     t.tokens <- Sim_time.min token_cap (Sim_time.add t.tokens earned)
   end
 
+(* Every deferred tick added the same [earned] with the same saturation,
+   and [remaining] cannot move between ticks without an execute, which
+   catches up first.  For non-negative integers ([Sim_time.t] is the int
+   microsecond count), [ticks] saturating additions equal one saturating
+   addition of their sum. *)
+(* alloc: none *)
+let catch_up t ~now:_ ~dt ~ticks =
+  if t.progress.remaining > 0.0 then begin
+    let earned = of_sec_f (t.duty_cycle *. sec_of dt) in
+    t.tokens <- Int.min token_cap (t.tokens + (ticks * earned))
+  end
+
+(* Advancing changes what [has_work] answers only when the tokens are
+   spent: with tokens in hand it stays true, and a finished job ignores
+   ticks. *)
+(* alloc: none *)
+let due t ~now ~dt =
+  if t.progress.remaining > 0.0 && t.tokens <= Sim_time.zero then now + dt else Workload.never
+
 let has_work t () = t.progress.remaining > 0.0 && Sim_time.compare t.tokens Sim_time.zero > 0
 
 let execute t ~now ~cpu_time ~speed =
@@ -70,6 +89,7 @@ let execute t ~now ~cpu_time ~speed =
 
 let workload t =
   Workload.make ~name:"pi-app" ~advance:(fun ~now ~dt -> advance t ~now ~dt)
+    ~defer:((fun ~now ~dt -> due t ~now ~dt), fun ~now ~dt ~ticks -> catch_up t ~now ~dt ~ticks)
     ~has_work:(has_work t)
     ~execute:(fun ~now ~cpu_time ~speed -> execute t ~now ~cpu_time ~speed)
     ()
@@ -77,6 +97,7 @@ let workload t =
 let total_work t = t.total_work
 let remaining_work t = t.progress.remaining
 let finished t = t.progress.remaining <= 0.0
+let tokens t = t.tokens
 let start_time t = t.start_time
 let finish_time t = t.finish_time
 

@@ -19,10 +19,19 @@ val create : ?duty_cycle:float -> work:float -> unit -> t
     outside (0, 1]. *)
 
 val workload : t -> Workload.t
+(** The job as a workload.  Ticks that only add tokens to a job already
+    holding some are deferred (see {!Workload.make}).  Call it at most once
+    per job: each call makes a workload with its own deferred ticks, which
+    another one's [execute] would not catch up. *)
 
 val total_work : t -> float
 val remaining_work : t -> float
 val finished : t -> bool
+
+val tokens : t -> Sim_time.t
+(** The private CPU-time demand accumulator.  It lags while ticks are
+    deferred and is exact after {!Workload.flush}; exposed so tests can
+    check the replay bit for bit. *)
 
 val start_time : t -> Sim_time.t option
 (** Time of the first execution, [None] if it never ran. *)
@@ -33,4 +42,6 @@ val execution_time : t -> Sim_time.t option
 (** [finish - start], the paper's measured quantity. *)
 
 val reset : t -> unit
-(** Restores the full work amount so the job can be run again. *)
+(** Restores the full work amount so the job can be run again.  Call
+    {!Workload.flush} on the job's workload first: its deferred ticks
+    happened before the reset. *)

@@ -18,11 +18,13 @@ type t = {
   arrival : arrival;
   timeout : Sim_time.t option;
   schedule : (Sim_time.t * float) array;
+  mutable seg : int; (* schedule cursor: the segment of the last advance *)
   mutable arrived : Sim_time.t array; (* ring: arrival instant *)
   mutable remaining : float array; (* ring: absolute work still to serve *)
   mutable head : int; (* monotonic cursors; slot = cursor land (cap - 1) *)
   mutable tail : int;
   acc : acc;
+  mutable next_due : Sim_time.t; (* [due]'s answer since the last advance; 0: none *)
   mutable injected : int;
   mutable completed : int;
   mutable timed_out : int;
@@ -54,11 +56,13 @@ let create ?(request_work = 0.005) ?(arrival = Deterministic) ?timeout ~rate_sch
     arrival;
     timeout;
     schedule = Array.of_list rate_schedule;
+    seg = -1;
     arrived = [||];
     remaining = [||];
     head = 0;
     tail = 0;
     acc = { carry = 0.0; injected_work = 0.0; completed_work = 0.0 };
+    next_due = Sim_time.zero;
     injected = 0;
     completed = 0;
     timed_out = 0;
@@ -84,9 +88,18 @@ let rec segment_from schedule now i =
     segment_from schedule now (i + 1)
   else i - 1
 
+(* The segment at [now], scanning on from the cursor when [now] is not
+   before the cursor's segment (ticks only move forward) and from the
+   start otherwise, so any [now] gets the exact answer. *)
+let segment_at t now =
+  let i = t.seg in
+  if i >= 0 && fst t.schedule.(i) <= now then
+    segment_from t.schedule now (i + 1)
+  else segment_from t.schedule now 0
+
 let[@inline always] rate_of t seg = if seg < 0 then 0.0 else snd t.schedule.(seg)
 
-let current_rate t ~now = rate_of t (segment_from t.schedule now 0)
+let current_rate t ~now = rate_of t (segment_at t now)
 
 let queue_length t = t.tail - t.head
 let[@inline always] slot t cursor = cursor land (Array.length t.remaining - 1)
@@ -140,8 +153,11 @@ let rec expire t ~now limit =
 
 (* alloc: none *)
 let advance t ~now ~dt =
+  t.next_due <- Sim_time.zero;
   (match t.timeout with None -> () | Some limit -> expire t ~now limit);
-  let rate = rate_of t (segment_from t.schedule now 0) in
+  let seg = segment_at t now in
+  t.seg <- seg;
+  let rate = rate_of t seg in
   if rate > 0.0 then begin
     let expected = rate *. sec_of dt /. t.request_work in
     match t.arrival with
@@ -151,6 +167,80 @@ let advance t ~now ~dt =
         t.acc.carry <- t.acc.carry -. float_of_int n;
         inject t ~now n
     | Poisson rng -> inject_poisson t rng ~now ~expected
+  end
+
+(* Deferred ticks lie before the due tick, so in one schedule segment,
+   with no request injected or expired: each one only added [expected] to
+   the carry, which is the loop below, float for float.  A Poisson arrival
+   with a positive rate is never deferred. *)
+(* alloc: none *)
+let catch_up t ~now ~dt ~ticks =
+  let seg = segment_at t now in
+  t.seg <- seg;
+  let rate = rate_of t seg in
+  if rate > 0.0 then begin
+    let expected = rate *. sec_of dt /. t.request_work in
+    let c = ref t.acc.carry in
+    for _ = 1 to ticks do
+      c := !c +. expected
+    done;
+    t.acc.carry <- !c
+  end
+
+(* How far [due] looks for the carry's next crossing: a near-zero rate
+   gets a real advance every [lookahead_ticks] ticks instead of a long
+   count. *)
+let lookahead_ticks = 4096
+
+(* Ticks until the carry reaches 1 when every tick adds [step]: the same
+   float additions, in the same order, that [advance] will make (with no
+   request injected, its subtraction is [carry -. 0.0], the identity). *)
+let[@inline always] ticks_to_request t step =
+  let c = ref (t.acc.carry +. step) and k = ref 1 in
+  while int_of_float !c < 1 && !k < lookahead_ticks do
+    c := !c +. step;
+    incr k
+  done;
+  !k
+
+(* The first tick [now + k * dt], k >= 1, at or after [at].  [Sim_time.t]
+   is the int microsecond count, so the tick arithmetic here and in [due]
+   works on it directly. *)
+let[@inline always] first_tick ~now ~dt at =
+  if at <= now + dt then now + dt else now + ((at - now + dt - 1) / dt * dt)
+
+(* The earliest of: the next schedule edge (the rate changes), the head
+   request's expiry, and the next request injection — the carry's
+   crossing, or every tick while a Poisson arrival draws.  Until the next
+   advance, the answer stands: catching up deferred ticks moves the carry
+   along the very additions counted here, and [execute] only removes
+   requests, which can make the expiry later, never earlier. *)
+(* alloc: none *)
+let due t ~now ~dt =
+  if t.next_due > now then t.next_due
+  else if dt <= Sim_time.zero then now
+  else begin
+    let seg = segment_at t now in
+    let edge =
+      if seg + 1 < Array.length t.schedule then first_tick ~now ~dt (fst t.schedule.(seg + 1))
+      else Workload.never
+    in
+    let expiry =
+      match t.timeout with
+      | Some limit when queue_length t > 0 ->
+          first_tick ~now ~dt (t.arrived.(slot t t.head) + limit + 1)
+      | Some _ | None -> Workload.never
+    in
+    let rate = rate_of t seg in
+    let arrival =
+      if not (rate > 0.0) then Workload.never
+      else
+        match t.arrival with
+        | Deterministic -> now + (ticks_to_request t (rate *. sec_of dt /. t.request_work) * dt)
+        | Poisson _ -> now + dt
+    in
+    t.next_due <- Int.min edge (Int.min expiry arrival);
+    t.next_due
   end
 
 let has_work t () = queue_length t > 0
@@ -182,6 +272,7 @@ let execute t ~now ~cpu_time ~speed =
 
 let workload t =
   Workload.make ~name:"web-app" ~advance:(fun ~now ~dt -> advance t ~now ~dt)
+    ~defer:((fun ~now ~dt -> due t ~now ~dt), fun ~now ~dt ~ticks -> catch_up t ~now ~dt ~ticks)
     ~has_work:(has_work t)
     ~execute:(fun ~now ~cpu_time ~speed -> execute t ~now ~cpu_time ~speed)
     ()
@@ -200,3 +291,4 @@ let completed_work t = t.acc.completed_work
 let response_times t = t.response
 
 let timed_out_requests t = t.timed_out
+let carry t = t.acc.carry

@@ -36,6 +36,12 @@ val create :
     zero. *)
 
 val workload : t -> Workload.t
+(** The server as a workload.  Ticks that neither inject nor expire a
+    request, within one schedule segment, are deferred (see
+    {!Workload.make}): only the private fractional-request carry lags
+    until they are replayed.  Call it at most once per app: each call
+    makes a workload with its own deferred ticks, which another one's
+    [execute] would not catch up. *)
 
 val current_rate : t -> now:Sim_time.t -> float
 
@@ -56,3 +62,9 @@ val completed_work : t -> float
 
 val response_times : t -> Stats.Running.t
 (** Statistics over completed requests' response times, in seconds. *)
+
+val carry : t -> float
+(** The private fractional-request accumulator of deterministic arrivals.
+    It lags while ticks are deferred and is exact after
+    {!Workload.flush}; exposed so tests can check the replay bit for
+    bit. *)

@@ -20,17 +20,66 @@ type t
 val make :
   name:string ->
   ?advance:(now:Sim_time.t -> dt:Sim_time.t -> unit) ->
+  ?defer:
+    (now:Sim_time.t -> dt:Sim_time.t -> Sim_time.t)
+    * (now:Sim_time.t -> dt:Sim_time.t -> ticks:int -> unit) ->
   has_work:(unit -> bool) ->
   execute:(now:Sim_time.t -> cpu_time:Sim_time.t -> speed:float -> Sim_time.t) ->
   unit ->
   t
 (** [execute] must return a duration no larger than [cpu_time]; the runtime
     checks this and raises [Invalid_argument] otherwise (a workload consuming
-    more time than offered would corrupt the scheduler's accounting). *)
+    more time than offered would corrupt the scheduler's accounting).
+
+    {b Deferral.}  [~defer:(due, catch_up)] lets the workload skip ticks.
+    [due ~now ~dt] names a tick after [now] no later than the first one at
+    which advancing could change [has_work] or anything the workload's
+    owner can observe, assuming a tick every [dt] from [now] on (a result
+    at or before [now] means the next tick; an early answer only costs a
+    real advance that changes nothing).  Such a workload is advanced for
+    real only on that tick.  The ticks before it are counted and handed to
+    one [catch_up ~now ~dt ~ticks] call before the next real advance or
+    [execute], or by {!flush}: [ticks] deferred ticks, the last at [now]
+    and each [dt] after the one before.  [catch_up] must leave the state
+    exactly as that many [advance] calls at those instants would.  [due]
+    is asked again after every real advance and every [execute].  In
+    exchange the workload promises:
+
+    - a deferred tick changes nothing observable: [has_work] and every
+      public accessor are exact at every instant, and only private
+      accumulators (a web-app's fractional carry, a pi-app's tokens) lag
+      until the catch-up;
+    - [has_work] changes only inside [advance] or [execute], or after a
+      {!flush}.
+
+    A tick that does not directly follow the last one with the same step
+    (the first tick, a gap, a repeated instant, a changed [dt]) catches up
+    and advances for real, so a host rebuilt mid-run never adds an instant
+    its predecessor did not tick.  Without [~defer] the workload is advanced
+    on every tick, as a host always did. *)
+
+val never : Sim_time.t
+(** The latest instant: a [due] answer meaning "no tick can change me". *)
 
 val name : t -> string
 
 val advance : t -> now:Sim_time.t -> dt:Sim_time.t -> unit
+(** One tick: deferred or real, as {!make} describes. *)
+
+val defers : t -> bool
+(** True when the workload was made with [~defer]. *)
+
+val flush : t -> unit
+(** Replay the deferred ticks now and make the next tick a real advance.
+    An owner that changes the workload's state outside [advance] and
+    [execute] (such as [Pi_app.reset]) calls it first. *)
+
+val version : t -> int
+(** A counter bumped by every real advance, every [execute] and every
+    {!flush} of a workload made with [~defer].  While it stands still,
+    [has_work] cannot have changed, so a scheduler that remembers the
+    answer for a version need not ask again.  Meaningless without
+    [~defer]: such a workload's [has_work] may change at any time. *)
 
 val advances : t -> bool
 (** False when the workload was made without an [advance] (the default

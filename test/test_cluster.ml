@@ -192,6 +192,88 @@ let manager_workload_survives_migration () =
   let after = Workloads.Web_app.completed_work app in
   check_bool "queue kept serving after the move" true (after -. before > 3.0)
 
+(* Deferral across a fleet: VMs whose demand moves (phased web guests,
+   pi jobs) repacked every 2 s, which lands on a dispatch-tick instant, so
+   a rebuilt node's workloads see the old node's last tick, no tick at
+   the rebalance instant, then the new node's first.  The plain fleet must
+   match one whose workloads are all wrapped for every-tick advance. *)
+let fleet_deferral_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let specs =
+    List.init (4 + int 6) (fun i ->
+        let credit = float_of_int (5 + int 30) in
+        let kind = int 3 in
+        let from = int 6 and len = 1 + int 8 in
+        let rate = credit /. 100.0 *. (0.5 +. (0.1 *. float_of_int (int 30))) in
+        (i, credit, kind, from, len, rate, 0.01 *. float_of_int (1 + int 300)))
+  in
+  let policy = if int 2 = 0 then Manager.Pas_nodes else Manager.Credit_ondemand in
+  let run wrap =
+    let apps = ref [] in
+    let vms =
+      List.map
+        (fun (i, credit, kind, from, len, rate, work) ->
+          let w =
+            if kind = 2 then begin
+              let app = Workloads.Pi_app.create ~duty_cycle:0.5 ~work () in
+              apps := `Pi app :: !apps;
+              Workloads.Pi_app.workload app
+            end
+            else begin
+              let rate_schedule =
+                if kind = 0 then [ (sec from, rate); (sec (from + len), 0.0) ]
+                else Workloads.Phases.constant ~rate
+              in
+              let app =
+                Workloads.Web_app.create ~timeout:(Sim_time.of_ms 500) ~rate_schedule ()
+              in
+              apps := `Web app :: !apps;
+              Workloads.Web_app.workload app
+            end
+          in
+          Vm.create ~name:(Printf.sprintf "vm%d" i) ~credit_pct:credit ~memory_mb:1024 (wrap w))
+        specs
+    in
+    let sim = Simulator.create () in
+    let manager = Manager.create ~policy ~sim ~nodes:4 vms in
+    Manager.auto_rebalance manager ~every:(sec 2);
+    Manager.run_for manager (sec 12);
+    let buf = Buffer.create 1024 in
+    Printf.bprintf buf "migrations=%d active=%d energy=%h\n" (Manager.migrations manager)
+      (Manager.active_nodes manager) (Manager.energy_joules manager);
+    List.iter
+      (fun vm ->
+        Printf.bprintf buf "%s node=%d cpu=%d\n" (Vm.name vm) (Manager.node_of_vm manager vm)
+          (Sim_time.to_us (Hypervisor.Domain.cpu_time (Vm.domain vm))))
+      vms;
+    List.iter
+      (function
+        | `Web app ->
+            let module W = Workloads.Web_app in
+            let rt = W.response_times app in
+            Printf.bprintf buf "web injected=%d completed=%d timed_out=%d rt=%d/%h\n"
+              (W.injected_requests app) (W.completed_requests app) (W.timed_out_requests app)
+              (Stats.Running.count rt) (Stats.Running.mean rt)
+        | `Pi app ->
+            Printf.bprintf buf "pi remaining=%h\n" (Workloads.Pi_app.remaining_work app))
+      !apps;
+    (Manager.migrations manager, Buffer.contents buf)
+  in
+  let _, plain = run Fun.id and migrations, reference = run Every_tick.wrap in
+  if not (String.equal plain reference) then
+    Alcotest.failf "seed %d: deferring fleet differs from every-tick fleet\n%s\n%s" seed plain
+      reference;
+  migrations
+
+(* Twelve fixed scenarios; between them they must migrate, or the
+   rebuild path went untested. *)
+let fleet_deferral () =
+  let migrations =
+    List.fold_left (fun acc seed -> acc + fleet_deferral_run seed) 0 (List.init 12 succ)
+  in
+  check_bool "some scenario migrated" true (migrations > 0)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -214,5 +296,6 @@ let () =
           Alcotest.test_case "rebalance consolidates" `Quick manager_rebalance_consolidates;
           Alcotest.test_case "energy counts standby" `Quick manager_energy_counts_standby;
           Alcotest.test_case "workload survives migration" `Quick manager_workload_survives_migration;
+          Alcotest.test_case "deferring fleet matches every-tick fleet" `Quick fleet_deferral;
         ] );
     ]

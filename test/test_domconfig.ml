@@ -101,6 +101,88 @@ let parse_file_missing () =
   | Ok _ -> Alcotest.fail "expected an error"
   | Error _ -> ()
 
+(* Deferral at the host level: one random scenario built twice, plainly
+   and with every workload wrapped for every-tick advance
+   ({!Every_tick.wrap}, which also keeps Credit polling each guest), must
+   run identically — every series, the energy to the bit, each domain's
+   CPU time and each application's counters. *)
+let random_scenario seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
+  let pick l = List.nth l (int (List.length l)) in
+  let buf = Buffer.create 512 in
+  let duration = 4 + int 10 in
+  Printf.bprintf buf "host arch=%s scheduler=%s governor=%s duration=%d\n"
+    (pick [ "optiplex-755"; "elite-8300" ])
+    (pick [ "credit"; "credit"; "pas"; "pas"; "sedf"; "credit2" ])
+    (pick [ "none"; "ondemand"; "stable"; "conservative"; "performance" ])
+    duration;
+  Buffer.add_string buf "domain name=Dom0 credit=10 dom0=true workload=idle\n";
+  for i = 0 to int 9 do
+    let credit = 1 + int 10 in
+    Printf.bprintf buf "domain name=G%d credit=%d " i credit;
+    (match int 5 with
+    | 0 | 1 ->
+        Printf.bprintf buf "workload=web rate=%g timeout=%g request_work=%g"
+          (float_of_int credit /. 100.0 *. (0.2 +. (0.1 *. float_of_int (int 30))))
+          (pick [ 0.05; 0.3; 2.0; 10.0 ])
+          (pick [ 0.001; 0.005; 0.0123 ]);
+        if chance 0.6 then begin
+          let from = int duration in
+          Printf.bprintf buf " from=%d until=%d" from (from + 1 + int duration)
+        end
+    | 2 | 3 ->
+        Printf.bprintf buf "workload=pi work=%g duty=%g"
+          (0.01 *. float_of_int (1 + int 100))
+          (0.05 *. float_of_int (1 + int 20))
+    | _ -> Buffer.add_string buf (if chance 0.5 then "workload=idle" else "workload=busy"));
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.contents buf
+
+let host_fingerprint (b : Domconfig.built) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Series.Frame.to_csv (Hypervisor.Host.frame b.host));
+  Printf.bprintf buf "energy %h\n" (Hypervisor.Host.energy_joules b.host);
+  List.iter
+    (fun ((spec : Domconfig.domain_spec), d, app) ->
+      Printf.bprintf buf "%s cpu=%d" spec.name (Sim_time.to_us (Hypervisor.Domain.cpu_time d));
+      (match app with
+      | Domconfig.App_web w ->
+          let module W = Workloads.Web_app in
+          let rt = W.response_times w in
+          Printf.bprintf buf " injected=%d completed=%d timed_out=%d queue=%d rt=%d/%h/%h/%h"
+            (W.injected_requests w) (W.completed_requests w) (W.timed_out_requests w)
+            (W.queue_length w) (Stats.Running.count rt) (Stats.Running.mean rt)
+            (Stats.Running.variance rt) (Stats.Running.max rt)
+      | Domconfig.App_pi p ->
+          let module P = Workloads.Pi_app in
+          Printf.bprintf buf " remaining=%h finish=%s" (P.remaining_work p)
+            (match P.finish_time p with Some t -> string_of_int (Sim_time.to_us t) | None -> "-")
+      | Domconfig.App_none -> ());
+      Buffer.add_char buf '\n')
+    b.domains;
+  Buffer.contents buf
+
+let host_deferral_run seed =
+  let text = random_scenario seed in
+  let cfg = ok (Domconfig.parse text) in
+  let run ?wrap () =
+    let b = Domconfig.build ?wrap cfg in
+    Hypervisor.Host.run_for b.host b.duration;
+    host_fingerprint b
+  in
+  let plain = run () and reference = run ~wrap:Every_tick.wrap () in
+  if not (String.equal plain reference) then
+    QCheck.Test.fail_reportf "seed %d: deferring run differs from every-tick run\n%s" seed text;
+  true
+
+let host_deferral =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25 ~name:"deferring host run matches every-tick run"
+       QCheck.(int_bound 1_000_000)
+       host_deferral_run)
+
 let () =
   Alcotest.run "domconfig"
     [
@@ -113,5 +195,5 @@ let () =
           Alcotest.test_case "pp roundtrip" `Quick roundtrip_pp;
           Alcotest.test_case "parse_file missing" `Quick parse_file_missing;
         ] );
-      ("build", [ Alcotest.test_case "build and run" `Quick build_and_run ]);
+      ("build", [ Alcotest.test_case "build and run" `Quick build_and_run; host_deferral ]);
     ]

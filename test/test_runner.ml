@@ -124,7 +124,8 @@ let manifest_shape () =
   check_bool "failed entry with escaped id" true
     (has "{\"id\": \"beta \\\"quoted\\\"\", \"status\": \"failed\"");
   check_bool "error recorded" true (has "\"error\": ");
-  check_bool "rows recorded" true (has "\"rows\": 1")
+  check_bool "rows recorded" true (has "\"rows\": 1");
+  check_bool "no per-job cpu time" false (has "cpu_seconds")
 
 (* --------------------------------------------------------------- *)
 (* Manifest reader / regression differ *)
@@ -179,7 +180,18 @@ let manifest_v1_compat () =
         (e.Manifest.id ^ " minor_words defaults") 0.0 e.Manifest.minor_words;
       Alcotest.(check (float 0.0))
         (e.Manifest.id ^ " major_words defaults") 0.0 e.Manifest.major_words)
-    m.Manifest.experiments
+    m.Manifest.experiments;
+  (* Schema /2 files written before the runner dropped "cpu_seconds" still
+     carry it, as the /1 fixture does. *)
+  let v2 =
+    Manifest.of_string
+      {|{"schema": "dvfs-bench-manifest/2", "experiments": [
+          {"id": "fig3", "status": "ok", "seconds": 4.0, "cpu_seconds": 3.9, "alloc_mb": 120.0,
+           "minor_words": 5.0, "major_words": 1.0, "rows": 64},
+          {"id": "fig4", "status": "ok", "seconds": 1.0, "cpu_seconds": 0.9, "alloc_mb": 2.0,
+           "minor_words": 5.0, "major_words": 1.0, "rows": 3}]}|}
+  in
+  check_int "v2 with cpu_seconds loads" 2 (List.length v2.Manifest.experiments)
 
 let manifest_rejects () =
   let rejects label s =
@@ -200,7 +212,6 @@ let mexp ?(status = "ok") id ~seconds ~alloc_mb =
     Manifest.id;
     status;
     seconds;
-    cpu_seconds = seconds;
     alloc_mb;
     minor_words = 0.0;
     major_words = 0.0;

@@ -317,22 +317,46 @@ end
 
 (* One random scenario, fully determined by [seed]: a domain set with
    dom0s, uncapped and idle domains, workloads that toggle between having
-   and lacking work, and a stream of picks (with random exclusions),
-   charges, refills and credit changes. *)
+   and lacking work (no [~defer], so always polled), deferring web and pi
+   guests that only the narrowed wake detection skips, and a stream of
+   ticks, picks (with random exclusions) that run what they pick,
+   charges, refills and credit changes.  The reference asks every
+   workload on every pick. *)
 let differential_run seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
   let n = 1 + int 40 in
   let active = Array.init n (fun _ -> chance 0.5) in
+  let deferring = ref [] in
   let domains =
     List.init n (fun i ->
         let workload =
-          if chance 0.15 then Workload.idle ()
-          else
-            Workload.make ~name:"toggle"
-              ~has_work:(fun () -> active.(i))
-              ~execute:(fun ~now:_ ~cpu_time ~speed:_ -> cpu_time)
-              ()
+          match int 20 with
+          | 0 | 1 | 2 -> Workload.idle ()
+          | 3 | 4 | 5 | 6 ->
+              let app =
+                Workloads.Web_app.create ~timeout:(Sim_time.of_ms (1 + int 200))
+                  ~rate_schedule:
+                    [ (Sim_time.zero, 0.01 *. float_of_int (int 60));
+                      (Sim_time.of_ms (1 + int 300), 0.01 *. float_of_int (int 60)) ]
+                  ()
+              in
+              let w = Workloads.Web_app.workload app in
+              deferring := w :: !deferring;
+              w
+          | 7 | 8 | 9 ->
+              let app =
+                Workloads.Pi_app.create ~duty_cycle:(0.05 *. float_of_int (1 + int 20))
+                  ~work:(0.001 *. float_of_int (1 + int 300)) ()
+              in
+              let w = Workloads.Pi_app.workload app in
+              deferring := w :: !deferring;
+              w
+          | _ ->
+              Workload.make ~name:"toggle"
+                ~has_work:(fun () -> active.(i))
+                ~execute:(fun ~now:_ ~cpu_time ~speed:_ -> cpu_time)
+                ()
         in
         let credit = if chance 0.2 then 0.0 else float_of_int (1 + int 100) in
         Domain.create ~is_dom0:(chance 0.1) ~name:(Printf.sprintf "d%d" i) ~credit_pct:credit
@@ -350,15 +374,19 @@ let differential_run seed =
       (reference.Reference.rr, reference.Reference.rr_boost, reference.Reference.rr_uncapped)
   in
   let last = ref None in
-  for _ = 1 to 300 do
-    (match int 7 with
+  let now = ref Sim_time.zero and dt = Sim_time.of_ms 1 in
+  for _ = 1 to 400 do
+    (match int 9 with
+    | 7 | 8 ->
+        now := Sim_time.add !now dt;
+        List.iter (fun w -> Workload.advance w ~now:!now ~dt) !deferring
     | 0 | 1 | 2 ->
         let exclude =
           Scheduler.Mask.of_list (List.filter (fun _ -> chance 0.2) domains)
         in
         let remaining = Sim_time.of_us (1 + int 2_000) in
         let got =
-          match sched.Scheduler.pick ~now:Sim_time.zero ~remaining ~exclude with
+          match sched.Scheduler.pick ~now:!now ~remaining ~exclude with
           | Some s -> Some (s.Scheduler.domain, s.Scheduler.max_slice)
           | None -> None
         in
@@ -366,6 +394,12 @@ let differential_run seed =
         agree "pick" (Option.map (fun (d, s) -> (Domain.id d, s)) got)
           (Option.map (fun (d, s) -> (Domain.id d, s)) want);
         pointers ();
+        (* Run what was picked, as the host does: a deferring guest's
+           version moves and its [has_work] may change. *)
+        (match got with
+        | Some (d, slice) when chance 0.7 ->
+            ignore (Workload.execute (Domain.workload d) ~now:!now ~cpu_time:slice ~speed:1.0)
+        | Some _ | None -> ());
         last := got
     | 3 ->
         (* Charge what was just picked (the host's pattern) or, now and

@@ -201,6 +201,75 @@ let pas_smp_compensates () =
   check_float_eps 0.2 "credit compensated" (20.0 *. 2667.0 /. 1600.0)
     (scheduler.Hypervisor.Scheduler.effective_credit v20)
 
+(* Deferral on the SMP host: random web and pi guests with one or two
+   vCPUs on two cores, run plainly and with every workload wrapped for
+   every-tick advance ({!Every_tick.wrap}); every domain's CPU time and
+   work, the energy and the apps' counters must agree. *)
+let smp_deferral_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let specs =
+    List.init (2 + int 8) (fun i ->
+        (i, float_of_int (5 + int 20), 1 + int 2, int 3, 0.01 *. float_of_int (1 + int 150), int 8))
+  in
+  let run wrap =
+    let apps = ref [] in
+    let domains =
+      List.map
+        (fun (i, credit, vcpus, kind, rate, from) ->
+          let w =
+            if kind = 0 then begin
+              let app = Workloads.Pi_app.create ~duty_cycle:0.6 ~work:(rate *. 20.0) () in
+              apps := `Pi app :: !apps;
+              Workloads.Pi_app.workload app
+            end
+            else begin
+              let app =
+                Workloads.Web_app.create ~timeout:(Sim_time.of_ms 300)
+                  ~rate_schedule:[ (sec from, rate); (sec (from + 3), rate /. 2.0) ]
+                  ()
+              in
+              apps := `Web app :: !apps;
+              Workloads.Web_app.workload app
+            end
+          in
+          Domain.create ~vcpus ~name:(Printf.sprintf "d%d" i) ~credit_pct:credit (wrap w))
+        specs
+    in
+    let sim = Simulator.create () in
+    let smp = Smp.create ~cores:2 optiplex in
+    let scheduler = Sched_credit.create ~host_capacity:2 domains in
+    let host = Smp_host.create ~sim ~smp ~scheduler () in
+    Smp_host.run_for host (sec 10);
+    let buf = Buffer.create 512 in
+    Printf.bprintf buf "energy=%h\n" (Smp_host.energy_joules host);
+    List.iter
+      (fun d ->
+        Printf.bprintf buf "%s cpu=%d work=%h\n" (Domain.name d)
+          (Sim_time.to_us (Domain.cpu_time d)) (Smp_host.domain_work host d))
+      domains;
+    List.iter
+      (function
+        | `Web app ->
+            let module W = Workloads.Web_app in
+            Printf.bprintf buf "web %d %d %d %h\n" (W.injected_requests app)
+              (W.completed_requests app) (W.timed_out_requests app)
+              (Stats.Running.mean (W.response_times app))
+        | `Pi app -> Printf.bprintf buf "pi %h\n" (Workloads.Pi_app.remaining_work app))
+      !apps;
+    Buffer.contents buf
+  in
+  let plain = run Fun.id and reference = run Every_tick.wrap in
+  if not (String.equal plain reference) then
+    QCheck.Test.fail_reportf "seed %d: deferring SMP run differs\n%s\n%s" seed plain reference;
+  true
+
+let smp_deferral =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:15 ~name:"deferring smp host matches every-tick run"
+       QCheck.(int_bound 1_000_000)
+       smp_deferral_run)
+
 let () =
   Alcotest.run "smp"
     [
@@ -229,5 +298,6 @@ let () =
           Alcotest.test_case "max-core keeps fast" `Quick max_core_rule_keeps_package_fast;
           Alcotest.test_case "max-core lowers when spread" `Quick max_core_rule_lowers_when_spread;
           Alcotest.test_case "pas-smp compensates" `Quick pas_smp_compensates;
+          smp_deferral;
         ] );
     ]

@@ -53,8 +53,8 @@ let wl_bad_speed () =
 
 (* Drive a pi-app by hand: advance and execute in fixed ticks at the given
    speed until it finishes or [limit] elapses; returns elapsed seconds. *)
-let drive_pi pi ~speed ~limit =
-  let w = Pi_app.workload pi in
+let drive_pi ?w pi ~speed ~limit =
+  let w = match w with Some w -> w | None -> Pi_app.workload pi in
   let tick = ms 1 in
   let rec loop now =
     if Pi_app.finished pi then Sim_time.to_sec now
@@ -93,8 +93,10 @@ let pi_tracking () =
   check_float "remaining" 1.0 (Pi_app.remaining_work pi);
   check_bool "not started" true (Pi_app.start_time pi = None);
   check_bool "no exec time yet" true (Pi_app.execution_time pi = None);
-  ignore (drive_pi pi ~speed:1.0 ~limit:(sec 3));
+  let w = Pi_app.workload pi in
+  ignore (drive_pi ~w pi ~speed:1.0 ~limit:(sec 3));
   check_float "drained" 0.0 (Pi_app.remaining_work pi);
+  Workload.flush w;
   Pi_app.reset pi;
   check_float "reset restores work" 1.0 (Pi_app.remaining_work pi);
   check_bool "reset clears times" true (Pi_app.start_time pi = None)
@@ -404,6 +406,223 @@ let phases_steps_validates () =
     (Invalid_argument "Web_app.create: negative rate") (fun () ->
       ignore (Phases.steps [ (sec 1, -1.0) ]))
 
+(* ------------------------------------------------------------------ *)
+(* Deferral: a deferring web-app or pi-app against a second instance of
+   the same workload advanced on every tick ({!Every_tick.wrap}). *)
+
+let opt_us = function Some t -> string_of_int (Sim_time.to_us t) | None -> "-"
+
+let observe_web app w ~now =
+  let rt = Web_app.response_times app in
+  Printf.sprintf "has_work=%b queue=%d queued=%h injected=%d completed=%d timed_out=%d \
+                  injected_work=%h completed_work=%h responses=%d/%h/%h rate=%h"
+    (Workload.has_work w) (Web_app.queue_length app) (Web_app.queued_work app)
+    (Web_app.injected_requests app) (Web_app.completed_requests app)
+    (Web_app.timed_out_requests app) (Web_app.injected_work app) (Web_app.completed_work app)
+    (Stats.Running.count rt) (Stats.Running.mean rt) (Stats.Running.max rt)
+    (Web_app.current_rate app ~now)
+
+let observe_pi app w ~now:_ =
+  Printf.sprintf "has_work=%b remaining=%h finished=%b start=%s finish=%s"
+    (Workload.has_work w) (Pi_app.remaining_work app) (Pi_app.finished app)
+    (opt_us (Pi_app.start_time app)) (opt_us (Pi_app.finish_time app))
+
+(* One random interleaving of contiguous ticks, gaps, step changes,
+   repeated instants, executes, flushes and (for pi) resets, driving both
+   instances; after every step the observations must agree, and after a
+   flush so must the private accumulator, bit for bit. *)
+let drive_deferral ~seed ~rng ~deferring ~reference ~observe ~accumulator ~reset =
+  let int n = Random.State.int rng n in
+  let now = ref Sim_time.zero and dt = ref (Sim_time.of_ms 1) in
+  let fail what a b =
+    QCheck.Test.fail_reportf "seed %d at %d us: %s\n  deferring %s\n  reference %s" seed
+      (Sim_time.to_us !now) what a b
+  in
+  let agree what =
+    let a = observe `Deferring ~now:!now and b = observe `Reference ~now:!now in
+    if not (String.equal a b) then fail what a b
+  in
+  let tick () =
+    Workload.advance deferring ~now:!now ~dt:!dt;
+    Workload.advance reference ~now:!now ~dt:!dt
+  in
+  for _ = 1 to 1_500 do
+    let what =
+      match int 100 with
+      | k when k < 60 ->
+          now := Sim_time.add !now !dt;
+          tick ();
+          "tick"
+      | k when k < 63 ->
+          now := Sim_time.add !now (Sim_time.of_us ((2 + int 5) * Sim_time.to_us !dt));
+          tick ();
+          "gap"
+      | k when k < 65 ->
+          dt := Sim_time.of_us (List.nth [ 500; 1_000; 1_500; 2_000 ] (int 4));
+          now := Sim_time.add !now !dt;
+          tick ();
+          "step change"
+      | k when k < 67 ->
+          tick ();
+          "repeated instant"
+      | k when k < 87 ->
+          let cpu_time = Sim_time.of_us (int 3_000) in
+          let speed = 0.3 +. (0.1 *. float_of_int (int 8)) in
+          let a = Workload.execute deferring ~now:!now ~cpu_time ~speed in
+          let b = Workload.execute reference ~now:!now ~cpu_time ~speed in
+          if not (Sim_time.equal a b) then
+            fail "execute" (string_of_int (Sim_time.to_us a)) (string_of_int (Sim_time.to_us b));
+          "execute"
+      | k when k < 97 -> "query"
+      | k when k < 99 || not (Option.is_some reset) ->
+          Workload.flush deferring;
+          let a = accumulator `Deferring and b = accumulator `Reference in
+          if not (String.equal a b) then fail "accumulator after flush" a b;
+          "flush"
+      | _ ->
+          Option.iter (fun r -> r ()) reset;
+          "reset"
+    in
+    agree what
+  done;
+  true
+
+let web_deferral_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
+  let request_work = List.nth [ 0.001; 0.005; 0.0123; 0.02 ] (int 4) in
+  let timeout = if chance 0.3 then None else Some (Sim_time.of_us (1 + int 400_000)) in
+  let poisson = if chance 0.3 then Some (int 1_000_000) else None in
+  let rate () =
+    match int 4 with
+    | 0 -> 0.0
+    | 1 -> 1e-7 *. float_of_int (1 + int 10_000)
+    | _ -> 0.005 +. (0.001 *. float_of_int (int 1_500))
+  in
+  let rec schedule t n =
+    if n = 0 then []
+    else
+      let rate = rate () in
+      let next =
+        Sim_time.add t
+          (if chance 0.5 then Sim_time.of_ms (1 + int 300) else Sim_time.of_us (1 + int 300_000))
+      in
+      (t, rate) :: schedule next (n - 1)
+  in
+  let rate_schedule = schedule (Sim_time.of_us (if chance 0.5 then 0 else int 3_000)) (int 6) in
+  let make () =
+    let arrival =
+      match poisson with
+      | Some s -> Web_app.Poisson (Prng.create ~seed:s)
+      | None -> Web_app.Deterministic
+    in
+    Web_app.create ~request_work ~arrival ?timeout ~rate_schedule ()
+  in
+  let a = make () and b = make () in
+  let wa = Web_app.workload a and wb = Every_tick.wrap (Web_app.workload b) in
+  let pick = function `Deferring -> (a, wa) | `Reference -> (b, wb) in
+  drive_deferral ~seed ~rng ~deferring:wa ~reference:wb
+    ~observe:(fun side ~now -> let app, w = pick side in observe_web app w ~now)
+    ~accumulator:(fun side -> Printf.sprintf "carry=%h" (Web_app.carry (fst (pick side))))
+    ~reset:None
+
+let pi_deferral_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let duty_cycle =
+    match int 4 with
+    | 0 -> 0.0001 *. float_of_int (1 + int 10)
+    | _ -> 0.01 *. float_of_int (1 + int 100)
+  in
+  let work = 0.001 *. float_of_int (1 + int 500) in
+  let a = Pi_app.create ~duty_cycle ~work () and b = Pi_app.create ~duty_cycle ~work () in
+  let wa = Pi_app.workload a and wb = Every_tick.wrap (Pi_app.workload b) in
+  let pick = function `Deferring -> (a, wa) | `Reference -> (b, wb) in
+  drive_deferral ~seed ~rng ~deferring:wa ~reference:wb
+    ~observe:(fun side ~now -> let app, w = pick side in observe_pi app w ~now)
+    ~accumulator:(fun side -> string_of_int (Sim_time.to_us (Pi_app.tokens (fst (pick side)))))
+    ~reset:
+      (Some
+         (fun () ->
+           Workload.flush wa;
+           Pi_app.reset a;
+           Pi_app.reset b))
+
+(* The mechanism itself, on a workload that records every advance and
+   catch-up: deferred ticks are caught up in one call, naming the last
+   deferred instant, the step and the count, before the due tick, an
+   execute, a flush, or a tick that breaks the run (a gap or a changed
+   step) — never covering an instant the caller did not tick. *)
+let deferral_replays_own_instants () =
+  let seen = ref [] in
+  let w =
+    Workload.make ~name:"recorder"
+      ~advance:(fun ~now ~dt ->
+        seen := Printf.sprintf "advance %d/%d" (Sim_time.to_us now) (Sim_time.to_us dt) :: !seen)
+      ~defer:
+        ( (fun ~now ~dt -> Sim_time.add now (Sim_time.of_us (5 * Sim_time.to_us dt))),
+          fun ~now ~dt ~ticks ->
+            seen :=
+              Printf.sprintf "catch-up %d/%d x%d" (Sim_time.to_us now) (Sim_time.to_us dt) ticks
+              :: !seen )
+      ~has_work:(fun () -> false)
+      ~execute:(fun ~now:_ ~cpu_time:_ ~speed:_ -> Sim_time.zero)
+      ()
+  in
+  let tick t = Workload.advance w ~now:(ms t) ~dt:(ms 1) in
+  let expect label l =
+    Alcotest.(check (list string)) label l (List.rev !seen);
+    seen := []
+  in
+  List.iter tick [ 1; 2; 3 ];
+  expect "first tick real, next two deferred" [ "advance 1000/1000" ];
+  List.iter tick [ 4; 5; 6 ];
+  expect "due tick catches up the run first" [ "catch-up 5000/1000 x4"; "advance 6000/1000" ];
+  List.iter tick [ 7; 8 ];
+  ignore (Workload.execute w ~now:(ms 8) ~cpu_time:(ms 1) ~speed:1.0);
+  expect "execute catches up" [ "catch-up 8000/1000 x2" ];
+  tick 9;
+  tick 11;
+  expect "a gap catches up, then advances for real" [ "catch-up 9000/1000 x1"; "advance 11000/1000" ];
+  tick 12;
+  Workload.advance w ~now:(ms 14) ~dt:(ms 2);
+  expect "a changed step catches up, then advances for real"
+    [ "catch-up 12000/1000 x1"; "advance 14000/2000" ];
+  Workload.advance w ~now:(ms 16) ~dt:(ms 2);
+  Workload.flush w;
+  expect "flush catches up" [ "catch-up 16000/2000 x1" ];
+  Workload.advance w ~now:(ms 18) ~dt:(ms 2);
+  expect "after a flush the next tick is real" [ "advance 18000/2000" ]
+
+let web_deferral =
+  qtest ~count:300 "deferring web-app matches every-tick advance" QCheck.(int_bound 1_000_000)
+    web_deferral_run
+
+let pi_deferral =
+  qtest ~count:300 "deferring pi-app matches every-tick advance" QCheck.(int_bound 1_000_000)
+    pi_deferral_run
+
+(* The segment cursor only speeds the lookup up: [current_rate] stays the
+   schedule's value at any instant, earlier ones included. *)
+let web_current_rate_any_instant () =
+  let schedule = [ (ms 10, 0.1); (ms 20, 0.2); (ms 35, 0.0); (ms 50, 0.4) ] in
+  let app = Web_app.create ~rate_schedule:schedule () in
+  let w = Web_app.workload app in
+  let expect t =
+    List.fold_left (fun r (at, rate) -> if Sim_time.compare at t <= 0 then rate else r) 0.0 schedule
+  in
+  List.iter
+    (fun t ->
+      let t = ms t in
+      Workload.advance w ~now:t ~dt:(ms 1);
+      List.iter
+        (fun q ->
+          let q = ms q in
+          check_float (Printf.sprintf "rate at %d ms" (Sim_time.to_us q / 1000)) (expect q)
+            (Web_app.current_rate app ~now:q))
+        [ 0; 9; 10; 19; 20; 34; 35; 49; 50; 70 ])
+    [ 1; 15; 40; 60; 5 ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -434,7 +653,14 @@ let () =
           Alcotest.test_case "poisson mean" `Quick web_poisson_mean;
           Alcotest.test_case "ring grows while wrapped" `Quick web_ring_grows_while_wrapped;
           Alcotest.test_case "invalid" `Quick web_invalid;
+          Alcotest.test_case "current rate at any instant" `Quick web_current_rate_any_instant;
           web_conservation;
+        ] );
+      ( "deferral",
+        [
+          Alcotest.test_case "replays own instants" `Quick deferral_replays_own_instants;
+          web_deferral;
+          pi_deferral;
         ] );
       ( "closed_loop",
         [
