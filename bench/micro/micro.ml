@@ -351,6 +351,44 @@ let bench_dispatch_tick_dense () =
       if !ticks mod 30 = 0 then scheduler.Scheduler.on_account_period ~now:(Host.now host);
       Host.Internal.dispatch_tick host ())
 
+(* Window observers are fed busy fractions the host computes, boxed once
+   per call at the caller.  These cycle through a list of boxed samples
+   (0 and 1 included), so words/op counts the observer's own body: the
+   level search, the frequency change and, for PAS, the credit rescale.
+   The cycle makes every observer change frequency on some windows. *)
+let busy_cycle = [ 0.05; 0.95; 0.5; 0.0; 1.0; 0.3; 0.8; 0.62; 0.12; 0.4 ]
+
+let bench_observer ~name ~period observe =
+  let rest = ref busy_cycle and now = ref Sim_time.zero in
+  measure ~name ~ops:100_000 ~warmup:1_000 (fun () ->
+      now := Sim_time.add !now period;
+      match !rest with
+      | x :: tl ->
+          rest := tl;
+          observe ~now:!now ~busy_fraction:x
+      | [] -> rest := busy_cycle)
+
+(* A PAS host's window: Dom0 and 12 capped guests on the Optiplex table,
+   every evaluation rescaling all of them. *)
+let bench_pas_window () =
+  let domains =
+    Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:10.0 (Workloads.Workload.idle ())
+    :: List.init 12 (fun i ->
+           Domain.create ~name:(Printf.sprintf "g%d" i)
+             ~credit_pct:(float_of_int (2 + (i mod 5)))
+             (Workloads.Workload.busy_loop ()))
+  in
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let pas = Pas.Pas_sched.create ~processor domains in
+  match (Pas.Pas_sched.scheduler pas).Scheduler.observe_window with
+  | Some observe -> bench_observer ~name:"pas/window" ~period:(Sim_time.of_ms 100) observe
+  | None -> invalid_arg "pas/window: PAS has no window observer"
+
+let bench_governor name create () =
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let g = create processor in
+  bench_observer ~name ~period:g.Governors.Governor.period g.Governors.Governor.observe
+
 let bench_frame_csv () =
   let frame = Series.Frame.create () in
   for j = 0 to 3 do
@@ -386,6 +424,10 @@ let all_benches =
     bench_pi_advance;
     bench_web_defer;
     bench_pi_defer;
+    bench_pas_window;
+    bench_governor "governor/ondemand" (fun p -> Governors.Ondemand.create p);
+    bench_governor "governor/stable-ondemand" (fun p -> Governors.Stable_ondemand.create p);
+    bench_governor "governor/conservative" (fun p -> Governors.Conservative.create p);
     bench_frame_csv;
   ]
 
@@ -418,6 +460,10 @@ let zero_alloc_roots =
     ("web/defer", "Web_app.catch_up");
     ("pi/defer", "Pi_app.due");
     ("pi/defer", "Pi_app.catch_up");
+    ("pas/window", "Pas_sched.evaluate");
+    ("governor/ondemand", "Ondemand.observe");
+    ("governor/stable-ondemand", "Stable_ondemand.observe");
+    ("governor/conservative", "Conservative.observe");
   ]
 
 let zero_alloc_names =

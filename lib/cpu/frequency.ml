@@ -17,15 +17,16 @@ let count t = Array.length t.levels
 let min_freq t = t.levels.(0)
 let max_freq t = t.levels.(Array.length t.levels - 1)
 
-let rec mem_from levels f i =
-  i < Array.length levels && (levels.(i) = f || mem_from levels f (i + 1))
+(* The loops name their array [lv]: a parameter called [levels] would read,
+   to the allocation prover's call graph, as a reference to [levels] above. *)
+let rec mem_from lv f i = i < Array.length lv && (lv.(i) = f || mem_from lv f (i + 1))
 
 let mem t f = mem_from t.levels f 0
 
-let rec index_from levels f i =
-  if i >= Array.length levels then raise Not_found
-  else if levels.(i) = f then i
-  else index_from levels f (i + 1)
+let rec index_from lv f i =
+  if i >= Array.length lv then raise Not_found
+  else if lv.(i) = f then i
+  else index_from lv f (i + 1)
 
 let index_of t f = index_from t.levels f 0
 
@@ -37,13 +38,13 @@ let ratio t f =
   if not (mem t f) then raise Not_found;
   float_of_int f /. float_of_int (max_freq t)
 
-let rec closest_from levels f best i =
-  if i >= Array.length levels then best
+let rec closest_from lv f best i =
+  if i >= Array.length lv then best
   else begin
-    let level = levels.(i) in
+    let level = lv.(i) in
     let d = abs (level - f) and bd = abs (best - f) in
     let best = if d < bd || (d = bd && level < best) then level else best in
-    closest_from levels f best (i + 1)
+    closest_from lv f best (i + 1)
   end
 
 let closest t f = closest_from t.levels f t.levels.(0) 0

@@ -33,7 +33,8 @@ let voltage_ratio m table freq = voltage m table freq /. m.v_max
    the int representation, so the result is bit-identical).  Keeps the float
    conversion in this compilation unit: the cross-library call would return
    a freshly boxed float on every metering tick when cross-module inlining
-   is off (dev builds compile with -opaque). *)
+   is off, as in a [--profile dev] build, which compiles with -opaque (the
+   shipped release build inlines across units). *)
 let[@inline always] sec_of t = float_of_int (Sim_time.to_us t) /. 1e6
 
 module Meter = struct

@@ -1,20 +1,17 @@
-(* [cached_ratio]/[cached_cf]/[cached_speed] are derived from
-   [cached_freq] and refreshed when [set_freq] leaves the processor on
-   another level.  Caching
-   them as mutable fields of this mixed record means each float is boxed
-   once per frequency change; the dispatch hot path then reads the shared
-   box by pointer instead of recomputing (and re-boxing) the performance
-   law every tick.  [level_speeds] holds [speed_at] of every level, in
-   table order, as a flat float array for the governors' level search. *)
+(* [levels] holds, per level of the table in ascending order, the
+   frequency's [ratio], [cf] and [speed] ([ratio *. cf]), computed once at
+   creation; [level] is the entry of the current frequency.  The floats of
+   this mixed record are boxed once, here, so [ratio]/[cf]/[speed] hand out
+   a shared box by pointer and a frequency change only moves [level]:
+   neither the dispatch tick nor a governor's level change allocates. *)
+type level = { freq : Frequency.mhz; ratio : float; cf : float; speed : float }
+
 type t = {
   arch : Arch.t;
   cpufreq : Cpufreq.t;
   meter : Power.Meter.t;
-  level_speeds : float array;
-  mutable cached_freq : Frequency.mhz;
-  mutable cached_ratio : float;
-  mutable cached_cf : float;
-  mutable cached_speed : float;
+  levels : level array;
+  mutable level : level;
 }
 
 let freq_table t = t.arch.Arch.freq_table
@@ -28,51 +25,51 @@ let speed_in arch f =
 
 let speed_at t f = speed_in t.arch f
 
-let refresh_caches t =
-  let f = current_freq t in
-  t.cached_freq <- f;
-  t.cached_ratio <- ratio_at t f;
-  t.cached_cf <- cf_at t f;
-  t.cached_speed <- speed_at t f
-
 let create ?init_freq arch =
   let table = arch.Arch.freq_table in
   let init = match init_freq with Some f -> f | None -> Frequency.max_freq table in
-  let t =
-    {
-      arch;
-      cpufreq = Cpufreq.create ~freq_table:table ~init;
-      meter = Power.Meter.create (Power.of_arch arch) table;
-      level_speeds = Array.map (speed_in arch) (Frequency.levels table);
-      cached_freq = init;
-      cached_ratio = 0.0;
-      cached_cf = 0.0;
-      cached_speed = 0.0;
-    }
+  let cpufreq = Cpufreq.create ~freq_table:table ~init in
+  let levels =
+    Array.map
+      (fun freq ->
+        {
+          freq;
+          ratio = Frequency.ratio table freq;
+          cf = Calibration.cf arch.Arch.calibration table freq;
+          speed = speed_in arch freq;
+        })
+      (Frequency.levels table)
   in
-  refresh_caches t;
-  t
+  {
+    arch;
+    cpufreq;
+    meter = Power.Meter.create (Power.of_arch arch) table;
+    levels;
+    level = levels.(Frequency.index_of table init);
+  }
 
 let arch t = t.arch
 let cpufreq t = t.cpufreq
 
-(* [Cpufreq.set] clamps the request to the table, so the caches must be
-   rebuilt from the read-back frequency, never from the argument.  They
-   depend on nothing else, so a level they already describe keeps them. *)
+(* [Cpufreq.set] clamps the request to the table, so [level] must follow
+   the read-back frequency, never the argument. *)
 let set_freq t ~now f =
   Cpufreq.set t.cpufreq ~now f;
-  if current_freq t <> t.cached_freq then refresh_caches t
+  let f = current_freq t in
+  if f <> t.level.freq then t.level <- t.levels.(Frequency.index_of (freq_table t) f)
 
-let rec lowest_from t ~threshold ~absolute_load i =
-  if i >= Array.length t.level_speeds then Frequency.max_freq (freq_table t)
-  else if t.level_speeds.(i) *. threshold >= absolute_load then Frequency.nth (freq_table t) i
+(* The load arrives in a flat cell so that the caller's freshly computed
+   float does not have to be boxed to cross into this module. *)
+let rec lowest_from t ~threshold ~(absolute_load : Vec.Floats.cell) i =
+  if i >= Array.length t.levels then Frequency.max_freq (freq_table t)
+  else if t.levels.(i).speed *. threshold >= absolute_load.value then t.levels.(i).freq
   else lowest_from t ~threshold ~absolute_load (i + 1)
 
 let lowest_sufficient t ~threshold ~absolute_load = lowest_from t ~threshold ~absolute_load 0
 
-let ratio t = t.cached_ratio
-let cf t = t.cached_cf
-let speed t = t.cached_speed
+let ratio t = t.level.ratio
+let cf t = t.level.cf
+let speed t = t.level.speed
 let work_in t dt = speed t *. Sim_time.to_sec dt
 
 let record_power t ~dt ~util =

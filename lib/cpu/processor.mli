@@ -18,7 +18,8 @@ val current_freq : t -> Frequency.mhz
 val set_freq : t -> now:Sim_time.t -> Frequency.mhz -> unit
 
 val ratio : t -> float
-(** [current / max]. *)
+(** [current / max].  [ratio], [cf] and [speed] return values computed once
+    per level at {!create}; none of them, nor {!set_freq}, allocates. *)
 
 val cf : t -> float
 (** Calibration factor at the current frequency. *)
@@ -32,10 +33,13 @@ val speed : t -> float
 
 val speed_at : t -> Frequency.mhz -> float
 
-val lowest_sufficient : t -> threshold:float -> absolute_load:float -> Frequency.mhz
+val lowest_sufficient :
+  t -> threshold:float -> absolute_load:Vec.Floats.cell -> Frequency.mhz
 (** The lowest level [f], in ascending order, with
-    [speed_at t f *. threshold >= absolute_load]; the maximum frequency if
-    none qualifies.  The ondemand-style level search, without allocating. *)
+    [speed_at t f *. threshold >= absolute_load.value]; the maximum
+    frequency if none qualifies.  The ondemand-style level search, without
+    allocating: the load travels in the caller's flat cell, so a freshly
+    computed load is not boxed to cross the call. *)
 
 val work_in : t -> Sim_time.t -> float
 (** Absolute work completed by running flat-out for the given duration at

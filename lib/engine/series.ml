@@ -40,7 +40,8 @@ let cell = Vec.Floats.cell
    float is stored into the flat cell (raw store) and copied into the
    float vector by [push_cell] (raw load + store) — it never crosses a
    call boundary as an argument, where it would be boxed without
-   cross-module inlining. *)
+   cross-module inlining (a [--profile dev] build compiles with -opaque;
+   the shipped release build inlines across units). *)
 (* alloc: none *)
 let add_cell t time (c : cell) =
   let n = Vec.length t.times in

@@ -22,7 +22,8 @@ val add_cell : t -> Sim_time.t -> cell -> unit
 (** [add_cell t time c] records [c.value] at [time] — like {!add}, but the
     sample travels through the caller-owned flat cell instead of a float
     argument, so a periodic sampler's recording path stays allocation-free
-    even without cross-module inlining (no boxing at the call boundary).
+    even without cross-module inlining (no boxing at the call boundary; a
+    [dune build --profile dev] build compiles with -opaque).
     @raise Invalid_argument if the time is earlier than the previous
     sample. *)
 

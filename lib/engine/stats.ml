@@ -41,7 +41,8 @@ module Running = struct
      (the [Series.add_cell] idiom): the fresh float is stored into the flat
      cell by the caller and loaded here as a raw float, so it never crosses
      a call boundary as an argument, where it would be boxed without
-     cross-module inlining. *)
+     cross-module inlining (a [--profile dev] build compiles with -opaque;
+     the shipped release build inlines across units). *)
   let add_cell t (c : Vec.Floats.cell) =
     if Analysis.Config.enabled () then checked c.Vec.Floats.value;
     update t c.Vec.Floats.value

@@ -93,9 +93,10 @@ module Floats = struct
   (* Appends [c.value] without a float crossing a call boundary: the cell
      is a flat one-float record, so the caller's store into it and the copy
      into [data] here are both raw float moves.  This keeps the recording
-     path allocation-free even when cross-module inlining is off (dev
-     builds compile with -opaque), where [push]'s float argument would be
-     boxed by the caller. *)
+     path allocation-free even when cross-module inlining is off — in a
+     [--profile dev] build, which compiles with -opaque; the shipped
+     release build inlines across units — where [push]'s float argument
+     would be boxed by the caller. *)
   let push_cell v (c : cell) =
     if v.size = Array.length v.data then grow v;
     v.data.(v.size) <- c.value;

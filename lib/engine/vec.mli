@@ -44,7 +44,8 @@ module Floats : sig
   val push_cell : t -> cell -> unit
   (** [push_cell v c] appends [c.value].  Equivalent to [push v c.value]
       but guaranteed allocation-free: no float value crosses the call
-      boundary, so nothing is boxed even without cross-module inlining. *)
+      boundary, so nothing is boxed even without cross-module inlining
+      (a [dune build --profile dev] build compiles with -opaque). *)
 
   val clear : t -> unit
 

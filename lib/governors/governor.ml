@@ -16,7 +16,9 @@ type t = {
 }
 
 (* Sanitizer hook shared by every governor: call after a frequency decision
-   to assert the processor still sits on a table level. *)
+   to assert the processor still sits on a table level.  Cold: it builds its
+   report only while the sanitizer is on. *)
+(* alloc: cold *)
 let check_freq ~name processor ~now =
   if Analysis.Config.enabled () then begin
     let freq = Processor.current_freq processor in

@@ -54,7 +54,9 @@ let total_busy t = t.total_busy
 (* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
    the int representation, so the result is bit-identical).  The
    cross-library call would return a freshly boxed float on every tick when
-   cross-module inlining is off (dev builds compile with -opaque). *)
+   cross-module inlining is off: the shipped release build inlines it, but
+   [dune build --profile dev] compiles with -opaque, the case the
+   allocation prover's BoundedAlloc tier models. *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let utilization_probe t =

@@ -78,7 +78,8 @@ type t = {
 (* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
    the int representation, so the result is bit-identical); keeps the float
    conversion in this unit instead of boxing at a cross-library call on
-   every tick (dev builds compile with -opaque). *)
+   every tick in a [--profile dev] build, which compiles with -opaque (the
+   shipped release build inlines across units). *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let sim t = t.sim

@@ -50,7 +50,8 @@ type t = {
 (* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f] ([to_us] and
    [of_us] are the identity on the int representation, so the results are
    bit-identical); the cross-library calls would box a float at every
-   quota computation (dev builds compile with -opaque). *)
+   quota computation in a [--profile dev] build, which compiles with
+   -opaque (the shipped release build inlines across units). *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =
@@ -252,12 +253,12 @@ let set_effective_credit t d credit =
 
 (* One pass over the states, in domain order: the same per-domain checks
    and quota adjustment as [set_effective_credit], without its lookup. *)
-let rescale_capped t ~divisor =
+let rescale_capped t ~(divisor : Vec.Floats.cell) =
   for i = 0 to Array.length t.doms - 1 do
     let st = t.doms.(i) in
     let initial = Domain.initial_credit st.domain in
     if initial > 0.0 then begin
-      let credit = initial /. divisor in
+      let credit = initial /. divisor.value in
       if Analysis.Config.enabled () then check_credit st.domain credit;
       if credit < 0.0 then invalid_arg "Sched_credit.set_effective_credit: negative credit";
       apply_credit t st credit

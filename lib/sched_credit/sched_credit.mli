@@ -48,12 +48,13 @@ val create :
   Hypervisor.Scheduler.t
 (** [scheduler (make ...)]. *)
 
-val rescale_capped : t -> divisor:float -> unit
-(** Sets every capped domain's effective credit to [initial /. divisor],
-    in domain order, exactly as one {!Hypervisor.Scheduler.t.set_effective_credit}
+val rescale_capped : t -> divisor:Vec.Floats.cell -> unit
+(** Sets every capped domain's effective credit to
+    [initial /. divisor.value], in domain order, exactly as one {!Hypervisor.Scheduler.t.set_effective_credit}
     call per domain would (same sanitizer check, same in-flight quota
     adjustment) but in a single pass with no per-domain lookup.
-    Uncapped domains are left alone.
+    Uncapped domains are left alone.  The divisor travels in the caller's
+    flat cell, so a freshly computed one is not boxed to cross the call.
     @raise Invalid_argument if a resulting credit is negative. *)
 
 val rr_pointers : t -> int * int * int

@@ -14,7 +14,10 @@
    class: a freshly computed float returned across a compilation-unit
    boundary is boxed by the callee under dune's dev-profile [-opaque]
    (same-unit calls inline and stay unboxed — the reason the hot modules
-   carry local [sec_of] copies of [Sim_time.to_sec]).
+   carry local [sec_of] copies of [Sim_time.to_sec]).  The shipped build
+   (the release profile the dune-workspace selects) has no [-opaque] and
+   may inline such calls; the model keeps the dev-profile case, so a hot
+   path it proves stays allocation-free under [dune build --profile dev].
 
    Roots are hot-path entry points annotated [(* alloc: none *)] on the
    binding line or the line above.  Classes propagate caller <- callee to
@@ -191,7 +194,7 @@ let alloc_prefixes =
 
 (* Scanned functions whose result is a freshly computed float: calling
    them across a compilation-unit boundary boxes the return under
-   [-opaque].  Functions returning an already-boxed float (cached
+   [-opaque] (the dev profile).  Functions returning an already-boxed float (cached
    [Processor.speed]/[ratio]/[cf] fields, [Smp.speed_of_core]) do not
    allocate and are deliberately absent. *)
 let float_returning =

@@ -31,7 +31,8 @@ let create ?(duty_cycle = 1.0) ~work () =
 (* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f] ([to_us] and
    [of_us] are the identity on the int representation, so the results are
    bit-identical); the cross-library calls would box a float on every tick
-   (dev builds compile with -opaque). *)
+   in a [--profile dev] build, which compiles with -opaque (the shipped
+   release build inlines across units). *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =

@@ -185,6 +185,71 @@ let userspace_clamps () =
   observe gov ~now:(ms 10) 0.0;
   check_int "clamped to closest level" 1600 (Processor.current_freq p)
 
+(* ------------------------------------------------------------------ *)
+(* The allocation-free observe bodies against the reference bodies in
+   window_reference.ml, bit for bit after every window. *)
+
+module Reference = Window_reference
+
+(* Each governor as shipped and as the reference, with its options; the
+   floor sits on the table's second level. *)
+let second_level p =
+  let table = Processor.freq_table p in
+  Frequency.next_up table (Frequency.min_freq table)
+
+let variants =
+  [
+    ("ondemand", (fun p -> Governors.Ondemand.create p), fun p -> Reference.ondemand p);
+    ( "ondemand up 0.6",
+      (fun p -> Governors.Ondemand.create ~up_threshold:0.6 p),
+      fun p -> Reference.ondemand ~up_threshold:0.6 p );
+    ( "ondemand floor",
+      (fun p -> Governors.Ondemand.create ~floor:(second_level p) p),
+      fun p -> Reference.ondemand ~floor:(second_level p) p );
+    ( "stable-ondemand",
+      (fun p -> Governors.Stable_ondemand.create p),
+      fun p -> Reference.stable_ondemand p );
+    ( "stable-ondemand 1",
+      (fun p -> Governors.Stable_ondemand.create ~stability:1 p),
+      fun p -> Reference.stable_ondemand ~stability:1 p );
+    ( "conservative",
+      (fun p -> Governors.Conservative.create p),
+      fun p -> Reference.conservative p );
+  ]
+
+let governors_match_reference (i, samples) =
+  let arch = Reference.arches.(i) in
+  List.iter
+    (fun (name, shipped, reference) ->
+      let p = Processor.create arch and ref_p = Processor.create arch in
+      let gov = shipped p and ref_observe = reference ref_p in
+      List.iteri
+        (fun k busy_fraction ->
+          let now = ms (10 * (k + 1)) in
+          let got = Reference.outcome (fun () -> observe gov ~now busy_fraction) in
+          let want = Reference.outcome (fun () -> ref_observe ~now ~busy_fraction) in
+          if got <> want then QCheck.Test.fail_reportf "%s, window %d: outcome differs" name k;
+          if Processor.current_freq p <> Processor.current_freq ref_p then
+            QCheck.Test.fail_reportf "%s, window %d: frequency %d, reference %d" name k
+              (Processor.current_freq p) (Processor.current_freq ref_p);
+          (* the processor's per-level values, against a fresh computation *)
+          if
+            not
+              (Reference.bits_equal (Processor.ratio p) (Reference.ratio ref_p)
+              && Reference.bits_equal (Processor.cf p) (Reference.cf ref_p)
+              && Reference.bits_equal (Processor.speed p) (Reference.speed ref_p))
+          then QCheck.Test.fail_reportf "%s, window %d: ratio/cf/speed differ" name k)
+        samples)
+    variants;
+  true
+
+(* At full speed a window of 0.4 is exactly the 1000 MHz level's 0.5 x 0.8
+   of the "tie" architecture, which ondemand's [>=] takes. *)
+let ondemand_on_threshold () =
+  let p = Processor.create (Reference.arch "tie") in
+  observe (Governors.Ondemand.create p) ~now:(ms 5) 0.4;
+  check_int "taken at equality" 1000 (Processor.current_freq p)
+
 let () =
   Alcotest.run "governors"
     [
@@ -225,5 +290,12 @@ let () =
         [
           Alcotest.test_case "applies request" `Quick userspace_applies_request;
           Alcotest.test_case "clamps" `Quick userspace_clamps;
+        ] );
+      ( "window",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:300 ~name:"match the reference bodies bit for bit"
+               Reference.arb_windows governors_match_reference);
+          Alcotest.test_case "ondemand on a level's threshold" `Quick ondemand_on_threshold;
         ] );
     ]

@@ -172,6 +172,107 @@ let pas_tracks_decisions () =
 (* ------------------------------------------------------------------ *)
 (* User-level variants *)
 
+(* ------------------------------------------------------------------ *)
+(* The allocation-free evaluation window against the reference body in
+   window_reference.ml, bit for bit after every window. *)
+
+module Reference = Window_reference
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+(* A domain's remaining quota, read through [pick]: with every other domain
+   excluded and a slice longer than any quota, a capped domain gets exactly
+   its quota (an uncapped one the whole slice), or nothing at 0.  Both
+   sides get the same probes, so the pick state they move stays equal. *)
+let probe_quota sched domains d =
+  let exclude = Scheduler.Mask.of_list (List.filter (fun x -> not (Domain.equal x d)) domains) in
+  match sched.Scheduler.pick ~now:Sim_time.zero ~remaining:(sec 1000) ~exclude with
+  | Some slice -> Sim_time.to_us slice.Scheduler.max_slice
+  | None -> -1
+
+let window_domains () =
+  Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:10.0 (Workload.busy_loop ())
+  :: List.mapi
+       (fun i credit ->
+         Domain.create ~name:(Printf.sprintf "g%d" i) ~credit_pct:credit (Workload.busy_loop ()))
+       [ 2.0; 3.5; 0.0; 7.0; 20.0; 33.3 ]
+
+let pas_window_matches_reference (i, samples) =
+  let arch = Reference.arches.(i) in
+  let domains = window_domains () in
+  let processor = Processor.create arch and ref_processor = Processor.create arch in
+  let pas = Pas.Pas_sched.create ~processor domains in
+  let sched = Pas.Pas_sched.scheduler pas in
+  let observe = Option.get sched.Scheduler.observe_window in
+  let reference = Reference.Pas_window.create ~processor:ref_processor domains in
+  let ref_sched = Reference.Pas_window.scheduler reference in
+  List.iteri
+    (fun k busy_fraction ->
+      let now = Sim_time.of_ms (100 * (k + 1)) in
+      let got = Reference.outcome (fun () -> observe ~now ~busy_fraction) in
+      let want =
+        Reference.outcome (fun () ->
+            Reference.Pas_window.evaluate reference ~now ~busy_fraction)
+      in
+      if got <> want then fail "window %d: outcome differs" k;
+      if Processor.current_freq processor <> Processor.current_freq ref_processor then
+        fail "window %d: frequency %d, reference %d" k (Processor.current_freq processor)
+          (Processor.current_freq ref_processor);
+      if
+        not
+          (Reference.bits_equal (Pas.Pas_sched.last_absolute_load pas)
+             reference.Reference.Pas_window.last_absolute_load)
+      then fail "window %d: absolute load differs" k;
+      if
+        Pas.Pas_sched.evaluations pas <> reference.evaluations
+        || Pas.Pas_sched.frequency_decisions pas <> reference.frequency_decisions
+      then fail "window %d: counters differ" k;
+      List.iter
+        (fun d ->
+          if
+            not
+              (Reference.bits_equal (Pas.Pas_sched.effective_credit pas d)
+                 (ref_sched.Scheduler.effective_credit d))
+          then fail "window %d: %s credit differs" k (Domain.name d);
+          if probe_quota sched domains d <> probe_quota ref_sched domains d then
+            fail "window %d: %s quota differs" k (Domain.name d))
+        domains;
+      (* Move the quotas between windows, the same way on both sides. *)
+      let d = List.nth domains (k mod List.length domains) in
+      let used = Sim_time.of_us (1 + (k * 7919 mod 13_000)) in
+      sched.Scheduler.charge ~domain:d ~now ~used;
+      ref_sched.Scheduler.charge ~domain:d ~now ~used;
+      if k mod 3 = 2 then begin
+        sched.Scheduler.on_account_period ~now;
+        ref_sched.Scheduler.on_account_period ~now
+      end)
+    samples;
+  true
+
+(* The windows land exactly on a level's capacity: at 2000 MHz one window
+   of 0.5 is an absolute load of exactly 50 %, the 1000 MHz level's
+   capacity, which Listing 1.1's strict test does not take. *)
+let pas_window_on_threshold () =
+  let processor = Processor.create (Reference.arch "tie") in
+  let pas = Pas.Pas_sched.create ~processor (window_domains ()) in
+  let observe = Option.get (Pas.Pas_sched.scheduler pas).Scheduler.observe_window in
+  observe ~now:(Sim_time.of_ms 100) ~busy_fraction:0.5;
+  check_bool "exactly on the capacity" true (Pas.Pas_sched.last_absolute_load pas = 50.0);
+  check_int "not absorbed" 2000 (Processor.current_freq processor);
+  observe ~now:(Sim_time.of_ms 200) ~busy_fraction:0.25;
+  check_int "absorbed below it" 1000 (Processor.current_freq processor)
+
+(* An idle window on [invalid] picks the level whose [ratio * cf] rounds to
+   0: the evaluation raises at that point, with that level's values. *)
+let pas_window_invalid_speed () =
+  let processor = Processor.create (Reference.arch "invalid") in
+  let pas = Pas.Pas_sched.create ~processor (window_domains ()) in
+  let observe = Option.get (Pas.Pas_sched.scheduler pas).Scheduler.observe_window in
+  Alcotest.check_raises "invalid speed"
+    (Equations.Invalid_speed { ratio = 0.5; cf = Int64.float_of_bits 1L })
+    (fun () -> observe ~now:(Sim_time.of_ms 100) ~busy_fraction:0.0);
+  check_int "frequency kept" 2000 (Processor.current_freq processor)
+
 let credit_manager_compensates () =
   let app = Workloads.Web_app.create ~rate_schedule:(Workloads.Phases.constant ~rate:1.0) () in
   let v20 = Domain.create ~name:"V20" ~credit_pct:20.0 (Workloads.Web_app.workload app) in
@@ -246,6 +347,13 @@ let () =
           Alcotest.test_case "never exceeds absolute credit" `Quick pas_never_exceeds_absolute_credit;
           Alcotest.test_case "credit sum may exceed 100" `Quick pas_credit_sum_may_exceed_100;
           Alcotest.test_case "tracks decisions" `Quick pas_tracks_decisions;
+        ] );
+      ( "window",
+        [
+          qtest ~count:300 "matches the reference evaluation bit for bit"
+            Reference.arb_windows pas_window_matches_reference;
+          Alcotest.test_case "on a level's threshold" `Quick pas_window_on_threshold;
+          Alcotest.test_case "invalid speed" `Quick pas_window_invalid_speed;
         ] );
       ( "user level",
         [

@@ -423,7 +423,7 @@ let differential_run seed =
         end
         else begin
           let ratio = 0.3 +. Random.State.float rng 0.7 and cf = 0.8 +. Random.State.float rng 0.2 in
-          Sched_credit.rescale_capped fast ~divisor:(ratio *. cf);
+          Sched_credit.rescale_capped fast ~divisor:{ Vec.Floats.value = ratio *. cf };
           Array.iter
             (fun d ->
               let initial = Domain.initial_credit d in
