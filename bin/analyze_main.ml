@@ -1,7 +1,7 @@
 (* Driver for the AST analysis passes (dune build @analyze): parses every
    compilation unit under the given roots with compiler-libs and runs the
-   per-file unit-of-measure, domain-safety and float-reduction checks
-   plus the whole-program determinism-effect, lock-discipline and
+   per-file source, unit-of-measure, domain-safety and float-reduction
+   checks plus the whole-program determinism-effect, lock-discipline and
    allocation-effect passes (see lib/staticcheck).
    Exits nonzero if any rule fires.
 
@@ -83,7 +83,7 @@ let () =
     match List.rev !roots with
     | [] -> List.filter Sys.file_exists default_roots
     | roots ->
-        Report.check_roots ~tool:"analyze" roots;
+        Staticcheck.Report.check_roots ~tool:"analyze" roots;
         roots
   in
   if !alloc_roots then begin
@@ -98,7 +98,7 @@ let () =
   Option.iter (fun path -> write_timing ~path seconds passes) !timing;
   Option.iter (fun path -> Staticcheck.Sarif.save ~tool:"staticcheck" issues ~path) !sarif;
   match !baseline with
-  | None -> exit (Report.report ~tool:"analyze" issues)
+  | None -> exit (Staticcheck.Report.report ~tool:"analyze" issues)
   | Some path ->
       let base =
         match Staticcheck.Sarif.load path with
@@ -112,4 +112,4 @@ let () =
         Format.eprintf
           "analyze: baseline %s: %d finding(s) suppressed, %d stale entr(y/ies)@."
           path d.Staticcheck.Sarif.suppressed d.Staticcheck.Sarif.stale;
-      exit (Report.report ~tool:"analyze" d.Staticcheck.Sarif.fresh)
+      exit (Staticcheck.Report.report ~tool:"analyze" d.Staticcheck.Sarif.fresh)

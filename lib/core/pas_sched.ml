@@ -58,7 +58,7 @@ let check_invariants t ~now =
     let freq = Processor.current_freq t.processor in
     Analysis.Check.run inv_freq_member ~time_s ~component:"pas"
       ~detail:(fun () ->
-        (* lint:ignore hot-path-printf: cold sanitizer report *) Printf.sprintf
+        Printf.sprintf
           "current frequency %d MHz is not a table level" freq)
       (Cpu_model.Frequency.mem table freq);
     if Cpu_model.Frequency.mem table freq then begin
@@ -71,7 +71,7 @@ let check_invariants t ~now =
             let eff = t.credit.Scheduler.effective_credit d in
             Analysis.Check.run inv_credit_bounds ~time_s ~component:"pas"
               ~detail:(fun () ->
-                (* lint:ignore hot-path-printf: cold sanitizer report *) Printf.sprintf
+                Printf.sprintf
                   "domain %s effective credit %.9g" (Domain.name d) eff)
               (Float.is_finite eff && eff >= 0.0);
             sum_initial := !sum_initial +. initial;
@@ -81,7 +81,7 @@ let check_invariants t ~now =
       let expected = !sum_initial /. (ratio *. cf) in
       Analysis.Check.run inv_conservation ~time_s ~component:"pas"
         ~detail:(fun () ->
-          (* lint:ignore hot-path-printf: cold sanitizer report *) Printf.sprintf
+          Printf.sprintf
             "sum of effective credits %.9g, expected %.9g (= %.9g / (%.6g * %.6g))"
             !sum_effective expected !sum_initial ratio cf)
         (Float.abs (!sum_effective -. expected) <= 1e-9 *. Float.max 1.0 expected)

@@ -142,7 +142,7 @@ module Frame = struct
       if not !found then emitting := false
       else begin
         let time = !tmin in
-        Printf.bprintf buf "%.6f" (Sim_time.to_sec time); (* lint:ignore hot-path-printf: CSV export renders off the recording path *)
+        Printf.bprintf buf "%.6f" (Sim_time.to_sec time);
         for j = 0 to k - 1 do
           let s = Vec.get t.members j in
           while
@@ -153,7 +153,7 @@ module Frame = struct
           done;
           Buffer.add_char buf ',';
           if next.(j) > 0 then
-            Printf.bprintf buf "%.6f" (* lint:ignore hot-path-printf: CSV export renders off the recording path *)
+            Printf.bprintf buf "%.6f"
               (Vec.Floats.get s.values (next.(j) - 1))
         done;
         Buffer.add_char buf '\n'

@@ -125,7 +125,7 @@ let[@inline never] check_tick_util ~current ~util =
     Analysis.Check.pass inv_tick_util
   else
     Analysis.Check.fail inv_tick_util ~time_s:(Sim_time.to_sec current) ~component:"host"
-      (Printf.sprintf "tick utilization = %.9g outside [0, 1]" util) (* lint:ignore hot-path-printf: cold sanitizer failure message *)
+      (Printf.sprintf "tick utilization = %.9g outside [0, 1]" util)
 
 (* One dispatch tick: advance workloads, then hand out the tick to domains
    as the scheduler directs. *)

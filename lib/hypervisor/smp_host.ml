@@ -208,7 +208,7 @@ let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
       core_busy = Array.make (Smp.cores smp) Sim_time.zero;
       freq_series =
         Array.init (Smp.domain_count smp) (fun i ->
-            Series.create ~name:(Printf.sprintf "freq_domain%d" i)); (* lint:ignore hot-path-printf: one-time series naming at creation *)
+            Series.create ~name:(Printf.sprintf "freq_domain%d" i));
       exclude = Scheduler.Mask.create ();
       scratch = Series.cell ();
     }

@@ -193,7 +193,7 @@ let[@inline never] check_quota st ~domain ~now =
   if Sim_time.compare st.quota Sim_time.zero >= 0 then Analysis.Check.pass inv_quota
   else
     Analysis.Check.fail inv_quota ~time_s:(Sim_time.to_sec now) ~component:"sched-credit"
-      (Printf.sprintf "domain %s quota %s after charge" (* lint:ignore hot-path-printf: cold sanitizer failure message *)
+      (Printf.sprintf "domain %s quota %s after charge"
          (Domain.name domain) (Sim_time.to_string st.quota))
 
 (* The host charges the domain [pick] just returned, so that index is
@@ -225,7 +225,7 @@ let on_account_period t ~now:_ =
 let[@inline never] check_credit d credit =
   Analysis.Check.run inv_credit ~component:"sched-credit"
     ~detail:(fun () ->
-      Printf.sprintf "domain %s assigned effective credit %.9g" (* lint:ignore hot-path-printf: lazy detail built only on failure *)
+      Printf.sprintf "domain %s assigned effective credit %.9g"
         (Domain.name d) credit)
     (Float.is_finite credit && credit >= 0.0)
 

@@ -68,11 +68,6 @@ let join = Fixpoint.join ~rank
 
 type marker = Hot | Cold
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub line i m = sub || loop (i + 1)) in
-  m > 0 && loop 0
-
 let markers_of_source content =
   let lines = Array.of_list (String.split_on_char '\n' content) in
   let get ln = if ln < 1 || ln > Array.length lines then "" else lines.(ln - 1) in
@@ -81,8 +76,8 @@ let markers_of_source content =
      prose mentioning the grammar (docs, this very file) must not turn
      bindings into roots. *)
   let classify l =
-    if contains_sub l "alloc: none" then Some Hot
-    else if contains_sub l "alloc: cold" then Some Cold
+    if Report.contains_sub l "alloc: none" then Some Hot
+    else if Report.contains_sub l "alloc: cold" then Some Cold
     else None
   in
   let leading l =
@@ -180,6 +175,8 @@ let alloc_prefixes =
   [
     ("Printf.", "formatted printing allocates");
     ("Format.", "formatted printing allocates");
+    ("print_", "console output");
+    ("prerr_", "console output");
     ("Int64.", "boxed int64 arithmetic");
     ("Int32.", "boxed int32 arithmetic");
     ("Nativeint.", "boxed nativeint arithmetic");
@@ -237,7 +234,8 @@ let ident_is x e =
 
 (* [Simplif.eliminate_ref] eligibility for [let x = ref init in body]:
    every occurrence of [x] is the direct argument of [!]/[:=]/[incr]/
-   [decr], and never under a nested closure. *)
+   [decr], and never under a nested closure.  A [let] rebinding [x]
+   (say [let x = !x in …]) ends the ref's scope for its body. *)
 let ref_eliminable x body =
   let ok = ref true in
   let lam = ref false in
@@ -251,6 +249,10 @@ let ref_eliminable x body =
            && List.exists (fun (_, a) -> ident_is x a) args ->
         if !lam then ok := false;
         List.iter (fun (_, a) -> if not (ident_is x a) then it.Ast_iterator.expr it a) args
+    | Pexp_let (rf, vbs, _)
+      when List.exists (fun vb -> Ast_util.S.mem x (Ast_util.pat_vars vb.pvb_pat)) vbs ->
+        if rf = Asttypes.Nonrecursive then
+          List.iter (fun vb -> it.Ast_iterator.expr it vb.pvb_expr) vbs
     | Pexp_fun _ | Pexp_function _ ->
         let saved = !lam in
         lam := true;
@@ -269,15 +271,22 @@ let is_ref_make e =
       Some init
   | _ -> None
 
-(* Peel the binding's own leading parameter chain; optional-argument
+let bind env p = Ast_util.S.union env (Ast_util.pat_vars p)
+
+(* Peel the binding's own leading parameter chain into the expressions
+   to walk, each with the names bound around it; optional-argument
    defaults evaluate per call, so they are part of the walked core. *)
-let rec peel defaults e =
+let rec peel env e =
   match e.pexp_desc with
-  | Pexp_fun (_, d, _, body) -> peel (Option.to_list d @ defaults) body
-  | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> peel defaults body
+  | Pexp_fun (_, d, p, body) ->
+      List.map (fun d -> (env, d)) (Option.to_list d) @ peel (bind env p) body
+  | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> peel env body
   | Pexp_function cases ->
-      (defaults, List.concat_map (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ]) cases)
-  | _ -> (defaults, [ e ])
+      List.concat_map
+        (fun c ->
+          List.map (fun e -> (bind env c.pc_lhs, e)) (Option.to_list c.pc_guard @ [ c.pc_rhs ]))
+        cases
+  | _ -> [ (env, e) ]
 
 let walk ~classify ~on_ref body =
   let ws = ref [] in
@@ -285,10 +294,22 @@ let walk ~classify ~on_ref body =
   let add ?(rule = "alloc-in-hot-path") cls e desc =
     ws := { wrule = rule; wcls = cls; wline = line e; wdesc = desc } :: !ws
   in
+  (* names bound locally around the walked expression: a one-segment
+     path among them is a local, never a top-level binding *)
+  let env = ref Ast_util.S.empty in
+  let local = function [ x ] -> Ast_util.S.mem x !env | _ -> false in
+  let scoped p f =
+    let saved = !env in
+    env := bind saved p;
+    f ();
+    env := saved
+  in
   let rec go e =
     match e.pexp_desc with
     | Pexp_ident _ -> (
-        match Ast_util.ident_path e with Some p -> on_ref p | None -> ())
+        match Ast_util.ident_path e with
+        | Some p when not (local p) -> on_ref p
+        | _ -> ())
     | Pexp_constant _ -> ()
     | Pexp_fun _ | Pexp_function _ ->
         (* a closure block per evaluation; the body escapes the hot-path
@@ -328,7 +349,10 @@ let walk ~classify ~on_ref body =
       ->
         ()
     | Pexp_assert cond -> go cond
-    | Pexp_let (_, vbs, body) ->
+    | Pexp_let (rf, vbs, body) ->
+        let saved = !env in
+        let inner = List.fold_left (fun env vb -> bind env vb.pvb_pat) saved vbs in
+        if rf = Asttypes.Recursive then env := inner;
         List.iter
           (fun vb ->
             match (vb.pvb_pat.ppat_desc, is_ref_make vb.pvb_expr) with
@@ -338,7 +362,9 @@ let walk ~classify ~on_ref body =
                 go init
             | _ -> go vb.pvb_expr)
           vbs;
-        go body
+        env := inner;
+        go body;
+        env := saved
     | Pexp_apply (f0, args0) -> (
         let f, args =
           match (Ast_util.ident_path f0, args0) with
@@ -353,6 +379,7 @@ let walk ~classify ~on_ref body =
         | Pexp_ident _ -> (
             match Ast_util.ident_path f with
             | None -> go_args ()
+            | Some p when local p -> go_args () (* a local function *)
             | Some p -> (
                 match classify p with
                 | Hdiv -> () (* failure path: never returns, skip subtree *)
@@ -395,8 +422,9 @@ let walk ~classify ~on_ref body =
         go scrut;
         List.iter
           (fun c ->
-            Option.iter go c.pc_guard;
-            go c.pc_rhs)
+            scoped c.pc_lhs (fun () ->
+                Option.iter go c.pc_guard;
+                go c.pc_rhs))
           cases
     | Pexp_ifthenelse (c, t, e) ->
         go c;
@@ -408,10 +436,10 @@ let walk ~classify ~on_ref body =
     | Pexp_while (c, b) ->
         go c;
         go b
-    | Pexp_for (_, lo, hi, _, b) ->
+    | Pexp_for (pat, lo, hi, _, b) ->
         go lo;
         go hi;
-        go b
+        scoped pat (fun () -> go b)
     | Pexp_field (o, _) -> go o
     | Pexp_setfield (o, _, v) ->
         go o;
@@ -426,9 +454,11 @@ let walk ~classify ~on_ref body =
     | Pexp_setinstvar (_, e) -> go e
     | Pexp_extension _ | Pexp_unreachable -> ()
   in
-  let defaults, cores = peel [] body in
-  List.iter go defaults;
-  List.iter go cores;
+  List.iter
+    (fun (bound, e) ->
+      env := bound;
+      go e)
+    (peel Ast_util.S.empty body);
   List.rev !ws
 
 (* ------------------------------------------------------------------ *)
@@ -535,28 +565,16 @@ let check ~sources g =
     Fixpoint.bfs ~n ~edges:!edges ~sources:(List.filter_map (Callgraph.index g) hot_keys)
   in
   let keys = Array.map (fun nd -> nd.Callgraph.nkey) nodes in
-  let issues = ref [] in
-  Array.iteri
-    (fun i nd ->
-      (* a reached node's direct witnesses are exactly what lifted its
-         fixpoint class above NoAlloc, so reporting them covers [cls] *)
-      if parent.(i) >= -1 && rank cls.(i) > rank NoAlloc then
-        List.iter
-          (fun w ->
-            let trail = String.concat " → " (Fixpoint.chain ~keys ~parent i) in
-            issues :=
-              {
-                Report.file = nd.Callgraph.nunit.Callgraph.ufile;
-                line = w.wline;
-                rule = w.wrule;
-                message =
-                  Printf.sprintf "%s (%s) reached from hot root via %s: %s" w.wdesc
-                    (class_name w.wcls) trail (advice w.wrule);
-              }
-              :: !issues)
-          witnesses.(i))
-    nodes;
-  List.sort_uniq compare !issues
+  Fixpoint.report ~keys ~parent ~above:(fun i -> rank cls.(i) > rank NoAlloc) witnesses
+    (fun i w trail ->
+      {
+        Report.file = nodes.(i).Callgraph.nunit.Callgraph.ufile;
+        line = w.wline;
+        rule = w.wrule;
+        message =
+          Printf.sprintf "%s (%s) reached from hot root via %s: %s" w.wdesc
+            (class_name w.wcls) trail (advice w.wrule);
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Static/dynamic consistency: the annotated roots and the 0-words/op

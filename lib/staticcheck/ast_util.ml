@@ -18,6 +18,11 @@ let ident_path e =
 
 let dotted = String.concat "."
 
+let rec last2 = function
+  | [ a; b ] -> Some (a, b)
+  | _ :: rest -> last2 rest
+  | [] -> None
+
 let in_experiments path =
   List.exists (String.equal "experiments") (String.split_on_char '/' path)
 
@@ -234,11 +239,6 @@ type guard = string list option
    to one of these counts as written, which is what separates a shared
    read-only table from state that actually needs a locking discipline. *)
 let is_write_op p =
-  let rec last2 = function
-    | [ a; b ] -> Some (a, b)
-    | _ :: rest -> last2 rest
-    | [] -> None
-  in
   match p with
   | [ ":=" ] | [ "incr" ] | [ "decr" ] -> true
   | _ -> (
@@ -362,11 +362,6 @@ let guarded_refs expr = walk_refs ~protect:`Track expr
 (* Spawn sites and function-local mutable bindings, anywhere in a file. *)
 
 let is_spawn path =
-  let rec last2 = function
-    | [ a; b ] -> Some (a, b)
-    | _ :: rest -> last2 rest
-    | [] -> None
-  in
   match last2 path with
   | Some ("Domain", "spawn") | Some ("Thread", "create") -> true
   | _ -> false

@@ -20,6 +20,9 @@ val ident_path : Parsetree.expression -> string list option
 
 val dotted : string list -> string
 
+val last2 : string list -> (string * string) option
+(** The last two segments of a path ([Unix.gettimeofday]). *)
+
 val in_experiments : string -> bool
 (** Whether a file path has an ["experiments"] directory component. *)
 
@@ -51,6 +54,11 @@ val scan_structure : Parsetree.structure -> decls
 val resolve : (string list * string list) list -> string list -> string list
 (** Chases module aliases: rewrites the longest alias prefix, bounded so
     alias cycles cannot loop. *)
+
+module S : Set.S with type elt = string
+
+val pat_vars : Parsetree.pattern -> S.t
+(** The variables a pattern binds. *)
 
 type guard = string list option
 (** The innermost [Mutex.protect] mutex path guarding a reference. *)

@@ -32,11 +32,6 @@ let join = Fixpoint.join ~rank
    host on purpose, before simulation starts. *)
 let blessed_units = [ "Domconfig" ]
 
-let rec last2 = function
-  | [ a; b ] -> Some (a, b)
-  | _ :: rest -> last2 rest
-  | [] -> None
-
 (* Classification of a path that resolves to no scanned binding. *)
 let classify_external path =
   if List.mem "Prng" path then Some (Seeded, "seed-derived randomness")
@@ -45,7 +40,7 @@ let classify_external path =
     | "Random" :: _ -> Some (Nondet, "global Random state")
     | [ ("open_in" | "open_in_bin") ] -> Some (Ambient, "file read")
     | _ -> (
-        match last2 path with
+        match Ast_util.last2 path with
         | Some ("Random", _) -> Some (Nondet, "global Random state")
         | Some ("Unix", ("gettimeofday" | "time")) | Some ("Sys", "time") ->
             Some (Nondet, "wall-clock read")
@@ -119,28 +114,13 @@ let check g =
       ~sources:(List.filter_map (Callgraph.index g) (Callgraph.entry_keys g))
   in
   let keys = Array.map (fun nd -> nd.Callgraph.nkey) nodes in
-  let issues = ref [] in
-  Array.iteri
-    (fun i nd ->
-      (* a reached node's direct witnesses are exactly what lifted its
-         fixpoint class above Seeded, so reporting them covers [eff] *)
-      if parent.(i) >= -1 && rank eff.(i) >= rank Ambient then
-        List.iter
-          (fun w ->
-            let rule =
-              if w.wclass = Nondet then "effect-nondet" else "effect-ambient"
-            in
-            let trail = String.concat " → " (Fixpoint.chain ~keys ~parent i) in
-            issues :=
-              {
-                Report.file = nd.Callgraph.nunit.Callgraph.ufile;
-                line = w.wline;
-                rule;
-                message =
-                  Printf.sprintf "%s (%s) reached from simulation entry via %s: %s"
-                    w.wpath w.wdesc trail (advice w.wclass);
-              }
-              :: !issues)
-          witnesses.(i))
-    nodes;
-  List.sort_uniq compare !issues
+  Fixpoint.report ~keys ~parent ~above:(fun i -> rank eff.(i) >= rank Ambient) witnesses
+    (fun i w trail ->
+      {
+        Report.file = nodes.(i).Callgraph.nunit.Callgraph.ufile;
+        line = w.wline;
+        rule = (if w.wclass = Nondet then "effect-nondet" else "effect-ambient");
+        message =
+          Printf.sprintf "%s (%s) reached from simulation entry via %s: %s" w.wpath
+            w.wdesc trail (advice w.wclass);
+      })

@@ -1,7 +1,6 @@
 (* Rule documentation behind [analyze_main --explain RULE].  One entry
-   per rule either checker (text lint or AST analyzer) can emit, so the
-   CI log's rule id is always one command away from its rationale and
-   its waiver spelling. *)
+   per rule the analyzer can emit, so the CI log's rule id is always one
+   command away from its rationale and its waiver spelling. *)
 
 let rules =
   [
@@ -71,15 +70,17 @@ let rules =
        Fix: compare against a tolerance.\n\
        Waive: (* lint:ignore float-eq: reason *)." );
     ( "random",
-      "Direct use of the global Random module; the parallel runner\n\
-       requires experiment-keyed determinism.\n\
+      "Any use of the global Random module, whether or not a simulation\n\
+       entry point reaches it (effect-nondet covers only reached code);\n\
+       the parallel runner requires experiment-keyed determinism.\n\
        Fix: use Prng.derive / Prng.derive_seed." );
     ( "assert-false",
       "assert false without an adjacent (* unreachable: … *) comment\n\
        explaining why the branch cannot happen." );
     ( "mutable-doc",
-      "A mutable field or ref lacks the ownership comment that says\n\
-       which domain/lock owns it." );
+      "A mutable record field in an interface has no (** … *) doc\n\
+       comment from three lines above to one line below; exposed\n\
+       mutability is an API contract and must be documented." );
     ( "missing-mli",
       "A library module has no interface file; every lib/ module ships\n\
        a .mli so the public surface is deliberate." );
@@ -108,15 +109,6 @@ let rules =
        primitive table if it provably does not allocate, route dispatch\n\
        through a contract field, or mark the callee (* alloc: cold *).\n\
        Waive: (* lint:ignore alloc-unknown-callee: reason *)." );
-    ( "hot-path-printf",
-      "A Printf/Format/print_ call in a file that declares an\n\
-       (* alloc: none *) hot path.  Formatted printing allocates and\n\
-       tends to creep from debug sessions into tick code; keep it out\n\
-       of hot-path files entirely (cold failure paths raise through\n\
-       invalid_arg/failwith instead).\n\
-       Fix: move the printing to a caller outside the hot module, or\n\
-       raise with a static message.\n\
-       Waive: (* lint:ignore hot-path-printf: reason *) on the line." );
     ( "float-fold-order",
       "Non-associative float accumulation (+. or *.) over an iteration\n\
        whose order is not fixed: a Hashtbl.fold/iter closure, a fold\n\

@@ -1,5 +1,5 @@
 (** Rule documentation behind [analyze_main --explain RULE]: what each
-    rule (text lint and AST analyzer alike) means, how to fix a finding
+    rule means, how to fix a finding
     and how to waive one. *)
 
 val find : string -> string option

@@ -46,3 +46,14 @@ let chain ~keys ~parent i =
     if parent.(i) < 0 then acc else go parent.(i) acc
   in
   go i []
+
+let report ~keys ~parent ~above witnesses issue =
+  let acc = ref [] in
+  Array.iteri
+    (fun i ws ->
+      if parent.(i) >= -1 && above i then begin
+        let trail = String.concat " → " (chain ~keys ~parent i) in
+        List.iter (fun w -> acc := issue i w trail :: !acc) ws
+      end)
+    witnesses;
+  List.sort_uniq compare !acc

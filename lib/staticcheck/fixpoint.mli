@@ -24,3 +24,17 @@ val bfs : n:int -> edges:(int * int) list -> sources:int list -> int array
 
 val chain : keys:string array -> parent:int array -> int -> string list
 (** The node names from the BFS source down to the given reached node. *)
+
+val report :
+  keys:string array ->
+  parent:int array ->
+  above:(int -> bool) ->
+  'w list array ->
+  (int -> 'w -> string -> Report.issue) ->
+  Report.issue list
+(** [report ~keys ~parent ~above witnesses issue]: for every node reached
+    by the search ([parent] from {!bfs}) whose solved class is [above]
+    the lattice's bottom, one [issue i w trail] per direct witness [w],
+    where [trail] is its {!chain} joined with [" → "].  A reached node's
+    direct witnesses are exactly what lifted its class, so reporting
+    them covers the solution.  Sorted, duplicates removed. *)

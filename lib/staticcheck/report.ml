@@ -14,11 +14,6 @@ let compare_issue a b =
 
 let sort issues = List.sort compare_issue issues
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub line i m = sub || loop (i + 1)) in
-  m > 0 && loop 0
-
 let find_sub line sub =
   let n = String.length line and m = String.length sub in
   let rec loop i =
@@ -27,6 +22,8 @@ let find_sub line sub =
     else loop (i + 1)
   in
   if m = 0 then None else loop 0
+
+let contains_sub line sub = find_sub line sub <> None
 
 (* File-scoped symbol waivers: [lint:ignore RULE @Path] anywhere in the
    file waives RULE for that symbol, under whatever spelling the checker

@@ -1,17 +1,16 @@
-(** Shared reporting machinery for the source checkers.
-
-    Both the text lint ([lib/lint]) and the AST analyzer
-    ([lib/staticcheck]) produce the same flat issue records, honour the
-    same ["lint:ignore"] waiver marker, walk the tree the same way and
-    exit with the same convention (0 clean, 1 issues, 2 usage error).
-    This module is that common ground, so a CI consumer never has to
-    care which of the two passes produced a line. *)
+(** Issue records, waivers, the source walk and the exit-code convention
+    of the analyzer: every pass produces the same flat issue records,
+    honours the same ["lint:ignore"] waiver marker and is reported in one
+    format with one exit convention (0 clean, 1 issues, 2 usage error). *)
 
 type issue = { file : string; line : int; rule : string; message : string }
 
 val waiver : string
 (** The waiver marker, ["lint:ignore"].  A source line whose raw text
-    contains it is exempt from every line-based rule of every checker. *)
+    contains it is exempt from every rule reported on that line. *)
+
+val contains_sub : string -> string -> bool
+(** [contains_sub s sub]: whether [sub] (non-empty) occurs in [s]. *)
 
 val pp_issue : Format.formatter -> issue -> unit
 (** ["file:line: [rule] message"] — the one report format. *)

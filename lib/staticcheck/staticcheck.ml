@@ -10,6 +10,8 @@ module Alloc_check = Alloc_check
 module Fold_check = Fold_check
 module Explain = Explain
 module Sarif = Sarif
+module Source_check = Source_check
+module Report = Report
 
 let parse_with parser ~file content =
   let lexbuf = Lexing.from_string content in
@@ -33,12 +35,12 @@ let parse_error_issue ~file exn =
 let module_name_of file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
-(* Every pass over a set of sources: per-file unit-of-measure and
-   domain-safety checks, then the interprocedural effect, lock-discipline
-   and allocation-effect passes over the call graph of all units
-   together.  Waivers are applied per file — line waivers for
-   everything, plus file-scoped symbol waivers ([lint:ignore RULE
-   @Path]) with the spellings the lock pass supplies.
+(* Every pass over a set of sources: per-file source, unit-of-measure,
+   domain-safety and float-reduction checks, then the interprocedural
+   effect, lock-discipline and allocation-effect passes over the call
+   graph of all units together.  Waivers are applied per file — line
+   waivers for everything, plus file-scoped symbol waivers ([lint:ignore
+   RULE @Path]) with the spellings the lock pass supplies.
 
    [jobs > 1] runs the three interprocedural passes on their own
    domains (parsing stays serial: the compiler-libs lexer/parser keep
@@ -89,8 +91,10 @@ let run_passes_timed ?(jobs = 1) ?clock ~registry sources =
     timed "perfile" (fun () ->
         List.concat_map
           (fun (file, content, str) ->
+            let lines = Array.of_list (String.split_on_char '\n' content) in
             let per_file =
-              Unit_check.check ~registry ~file str
+              Source_check.check ~file ~lines str
+              @ Unit_check.check ~registry ~file str
               @ Domain_check.check ~file str
               @ Fold_check.check ~file str
             in
@@ -103,33 +107,48 @@ let run_passes_timed ?(jobs = 1) ?clock ~registry sources =
 
 let run_passes ~registry sources = fst (run_passes_timed ~registry sources)
 
+(* An interface's [mutable-doc] findings, waivers applied, and its
+   signature ([None] if it does not parse: its implementation's analysis
+   reports parse errors). *)
+let check_interface ~file content =
+  match parse_with Parse.interface ~file content with
+  | exception _ -> ([], None)
+  | sg ->
+      let lines = Array.of_list (String.split_on_char '\n' content) in
+      ( Report.drop_waived ~source:content (Source_check.check_interface ~file ~lines sg),
+        Some sg )
+
 let analyze_source ?(registry = Units.builtin) ~file content =
-  if Filename.check_suffix file ".mli" then []
+  if Filename.check_suffix file ".mli" then fst (check_interface ~file content)
   else run_passes ~registry [ (file, content) ]
 
-let registry_of_paths roots =
-  let files = Report.collect_sources roots in
+(* Every interface among [files], each parsed once: the registry its
+   declarations extend, and the interface findings. *)
+let interfaces files =
   List.fold_left
-    (fun registry file ->
-      if not (Filename.check_suffix file ".mli") then registry
+    (fun (registry, issues) file ->
+      if not (Filename.check_suffix file ".mli") then (registry, issues)
       else
-        match parse_with Parse.interface ~file (Report.read_file file) with
-        | exception _ -> registry (* the .ml analysis reports parse errors *)
-        | signature ->
-            List.fold_left Units.add registry
-              (Units.of_interface ~module_name:(module_name_of file) signature))
-    Units.builtin files
+        match check_interface ~file (Report.read_file file) with
+        | found, None -> (registry, found @ issues)
+        | found, Some sg ->
+            ( List.fold_left Units.add registry
+                (Units.of_interface ~module_name:(module_name_of file) sg),
+              found @ issues ))
+    (Units.builtin, []) files
 
-let sources_of_paths roots =
+let sources_of_files files =
   List.filter_map
     (fun file ->
       if Filename.check_suffix file ".ml" then Some (file, Report.read_file file)
       else None)
-    (Report.collect_sources roots)
+    files
 
 let analyze_paths_timed ?jobs ?clock roots =
-  let registry = registry_of_paths roots in
-  run_passes_timed ?jobs ?clock ~registry (sources_of_paths roots)
+  let files = Report.collect_sources roots in
+  let registry, iface_issues = interfaces files in
+  let issues, times = run_passes_timed ?jobs ?clock ~registry (sources_of_files files) in
+  (Report.sort (iface_issues @ Source_check.missing_mli files @ issues), times)
 
 let analyze_paths roots = fst (analyze_paths_timed roots)
 
@@ -142,7 +161,7 @@ let alloc_roots_of_paths roots =
         match parse_with Parse.implementation ~file content with
         | exception _ -> None
         | str -> Some ((file, str), (file, content)))
-      (sources_of_paths roots)
+      (sources_of_files (Report.collect_sources roots))
   in
   Alloc_check.annotated_keys ~sources:(List.map snd parsed)
     (Callgraph.build (List.map fst parsed))

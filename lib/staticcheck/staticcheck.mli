@@ -1,11 +1,15 @@
 (** AST-level static analysis for the simulator (dune build @analyze).
 
-    Where [lib/lint] pattern-matches blanked source text, this engine
-    parses every compilation unit with the compiler's own parser
-    ([compiler-libs]) and runs structural passes over the parsetrees:
+    The one source checker: it parses every compilation unit with the
+    compiler's own parser ([compiler-libs]) and runs structural passes
+    over the parsetrees:
 
     {b Per file}:
 
+    - the {b source rules} ({!Source_check}): [float-eq], [random],
+      [assert-false], [hashtbl-create] on implementations, [mutable-doc]
+      on the interfaces the registry parses, and [missing-mli] over the
+      walked file list;
     - the {b unit-of-measure checker} ({!Unit_check}): [unit-arith],
       [unit-call], [unit-binding] — cross-unit arithmetic, comparisons,
       mismatched arguments to the Eq. (1)–(4) entry points and
@@ -41,8 +45,7 @@
     A file that does not parse yields a single [parse-error] issue.
     Line waivers (["lint:ignore"]), file-scoped symbol waivers
     ([lint:ignore RULE @Path] — matching any source spelling of the
-    root) and the issue/report format are shared with the text lint
-    through [Report].  [analyze_main --explain RULE] ({!Explain})
+    root), the issue record and the report format live in {!Report}.  [analyze_main --explain RULE] ({!Explain})
     documents every rule. *)
 
 module Units = Units
@@ -57,26 +60,26 @@ module Alloc_check = Alloc_check
 module Fold_check = Fold_check
 module Explain = Explain
 module Sarif = Sarif
+module Source_check = Source_check
+module Report = Report
 
 val analyze_source :
   ?registry:Units.registry -> file:string -> string -> Report.issue list
 (** Analyzes one [.ml] compilation unit given its file name and full
     contents — the whole-program passes run on the singleton unit, so a
-    self-contained fixture exercises every rule.  [.mli] inputs yield no
-    issues (interfaces only feed the registry).  [registry] defaults to
+    self-contained fixture exercises every rule.  An [.mli] input yields
+    its [mutable-doc] findings only.  [registry] defaults to
     {!Units.builtin}.  Waived lines are already filtered; issues are
     sorted. *)
 
-val registry_of_paths : string list -> Units.registry
-(** {!Units.builtin} extended with {!Units.of_interface} entries from
-    every [.mli] under the given roots. *)
-
 val analyze_paths : string list -> Report.issue list
-(** Walks the given files and directories like [Lint.lint_paths], builds
-    the registry from every interface found, then analyzes every
-    implementation — per-file passes plus the whole-program effect,
-    lock-discipline and allocation-effect passes over all units
-    together.  Issues are sorted by file and line. *)
+(** Walks the given files and directories (recursively, skipping
+    [_build] and dot-files), builds the registry from every interface
+    found (checking each for [mutable-doc] on the way), applies
+    [missing-mli] to [lib/] subtrees, then analyzes every implementation
+    — per-file passes plus the whole-program effect, lock-discipline and
+    allocation-effect passes over all units together.  Issues are sorted
+    by file and line. *)
 
 val analyze_paths_timed :
   ?jobs:int ->

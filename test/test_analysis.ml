@@ -1,11 +1,11 @@
 (* The invariant sanitizer (lib/analysis), its hooks in the simulator, and
-   the custom lint pass (lib/lint).
+   the analyzer's source rules (lib/staticcheck).
 
    Covers: registry idempotence and counters; the three violation
    policies; the NaN tripwire on measurement sinks; the live [pending]
    count of the event queue under heavy cancellation; an injected
    credit-conservation violation caught through the public
-   [Pas_sched.check_invariants]; and the lint rules, including the
+   [Pas_sched.check_invariants]; and the source rules, including the
    planted-violation exit code of the standalone driver. *)
 
 module Domain = Hypervisor.Domain
@@ -227,10 +227,10 @@ let test_injected_conservation_violation =
         | exception Analysis.Violation.Error v ->
             v.Analysis.Violation.invariant = "pas.credit-conservation"))
 
-(* ----- lint rules ----- *)
+(* ----- source rules ----- *)
 
-let issues_of src = Lint.lint_source ~file:"lib/fake/fake.ml" src
-let rules issues = List.map (fun i -> i.Lint.rule) issues
+let issues_of ?(file = "lib/fake/fake.ml") src = Staticcheck.analyze_source ~file src
+let rules issues = List.map (fun i -> i.Staticcheck.Report.rule) issues
 
 let test_lint_float_eq () =
   check_bool "planted float equality flagged" true
@@ -267,10 +267,18 @@ let test_lint_assert_false () =
 let test_lint_mutable_doc () =
   let src = "type t = {\n  mutable count : int;\n}\n" in
   check_bool "undocumented mutable field in mli flagged" true
-    (rules (Lint.lint_source ~file:"lib/fake/fake.mli" src) = [ "mutable-doc" ]);
+    (rules (issues_of ~file:"lib/fake/fake.mli" src) = [ "mutable-doc" ]);
   let documented = "type t = {\n  mutable count : int;  (** grows monotonically *)\n}\n" in
   check_bool "documented mutable field is fine" true
-    (Lint.lint_source ~file:"lib/fake/fake.mli" documented = []);
+    (issues_of ~file:"lib/fake/fake.mli" documented = []);
+  check_bool "doc comment three lines above is fine" true
+    (issues_of ~file:"lib/fake/fake.mli"
+       "(** counters *)\ntype t = {\n  x : int;\n  mutable count : int;\n}\n"
+    = []);
+  check_bool "waiver applies" true
+    (issues_of ~file:"lib/fake/fake.mli"
+       "type t = {\n  mutable count : int; (* lint:ignore mutable-doc: scratch *)\n}\n"
+    = []);
   check_bool "mutable in ml is fine" true (issues_of src = [])
 
 (* Hash tables iterate in hash order, which varies run to run — every
@@ -296,45 +304,38 @@ let test_lint_hashtbl_create () =
   check_bool "waiver applies" true
     (issues_of "let t = Hashtbl.create 8 (* lint:ignore hashtbl-create: scratch *)\n" = [])
 
-(* Files declaring an allocation-free hot path (a standalone
-   [(* alloc: none *)] marker line) must not grow formatted printing:
-   any Printf/Format/print_ call in such a file is flagged so the
-   printing moves out of the hot module — or is explicitly waived. *)
+(* Formatted printing in a file with an allocation-free hot path is the
+   allocation prover's business, not a file-wide rule: printing reached
+   from an (* alloc: none *) root is flagged, printing elsewhere in the
+   same file is not. *)
 let test_lint_hot_path_printf () =
   let hot = "(* alloc: none *)\nlet hot x = x + 1\n" in
-  check_bool "Printf in a hot-path file flagged" true
-    (rules (issues_of (hot ^ "let dump x = Printf.printf \"%d\" x\n"))
-    = [ "hot-path-printf" ]);
-  check_bool "Format flagged too" true
-    (rules (issues_of (hot ^ "let dump x = Format.asprintf \"%d\" x\n"))
-    = [ "hot-path-printf" ]);
-  check_bool "print_endline flagged" true
-    (rules (issues_of (hot ^ "let dump x = print_endline x\n")) = [ "hot-path-printf" ]);
-  check_bool "a file with no marker is free to print" true
-    (issues_of "let dump x = Printf.printf \"%d\" x\n" = []);
-  check_bool "marker inside a string literal does not arm the rule" true
-    (issues_of "let s = \"(* alloc: none *)\"\nlet dump x = Printf.printf \"%d\" x\n" = []);
-  check_bool "Printf in a comment is blanked" true
-    (issues_of (hot ^ "(* consider Printf.printf here *)\nlet ok = 3\n") = []);
-  check_bool "longer module name does not match" true
-    (issues_of (hot ^ "let dump x = MyPrintf.printf x\n") = []);
-  check_bool "waiver applies" true
+  check_bool "printing off the hot path is free" true
+    (issues_of (hot ^ "let dump x = Printf.printf \"%d\" x\n") = []);
+  check_bool "printing reached from a hot root is flagged" true
+    (rules (issues_of "(* alloc: none *)\nlet hot x = Format.printf \"%d\" x\n")
+    = [ "alloc-in-hot-path" ]);
+  check_bool "console output reached from a hot root is flagged" true
+    (rules (issues_of "(* alloc: none *)\nlet hot x = print_endline x\n")
+    = [ "alloc-in-hot-path" ]);
+  check_bool "a cold helper may print" true
     (issues_of
-       (hot ^ "let dump x = Printf.printf \"%d\" x (* lint:ignore hot-path-printf: debug *)\n")
+       "(* alloc: cold *)\n\
+        let dump x = print_endline x\n\
+        (* alloc: none *)\n\
+        let hot x = if x = \"\" then dump x\n"
     = [])
 
-(* The old text-based [experiment-state] rule moved to the AST analyzer
-   (lib/staticcheck, test/test_staticcheck.ml), which also catches aliased
-   module state the text scan could not see.  What stays here is the
-   tokenizer: quoted string literals must be blanked like ordinary strings,
-   including bodies that contain comment openers, quotes and rule bait. *)
+(* Rule bait inside quoted string literals, including bodies that
+   contain comment openers and quotes, is never code: the parser sees a
+   string constant. *)
 let test_lint_quoted_string () =
   check_bool "quoted string is blanked" true
     (issues_of "let ok = {|Random.int \" (* x = 1.0 *)|}\n" = []);
   check_bool "delimited quoted string is blanked" true
     (issues_of "let ok = {foo|Random.int \" x = 1.0 |} |foo}\n" = []);
-  check_bool "unterminated quoted string blanks to eof" true
-    (issues_of "let ok = {|x = 1.0\n" = []);
+  check_bool "an unterminated quoted string is a parse error, not bait" true
+    (rules (issues_of "let ok = {|x = 1.0\n") = [ "parse-error" ]);
   check_bool "code after the literal is still checked" true
     (rules (issues_of "let s = {|quiet|}\nlet x = Random.int 3\n") = [ "random" ]);
   check_bool "brace without a delimiter is not a literal" true
@@ -342,12 +343,43 @@ let test_lint_quoted_string () =
     = [ "random" ])
 
 (* The acceptance check: the standalone driver (what [dune build @lint]
-   runs) exits nonzero on a tree with a planted violation and zero on a
-   clean one. *)
+   and [@analyze] run) exits nonzero on a tree with a planted violation
+   and zero on a clean one. *)
+(* Every library module ships an interface: a [.ml] under a [lib/]
+   directory without its [.mli] is flagged; modules outside [lib/] are
+   exempt. *)
+let test_lint_missing_mli () =
+  let dir = Filename.temp_file "mlicheck" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let lib = Filename.concat dir "lib" in
+  Sys.mkdir lib 0o755;
+  let write name content =
+    let oc = open_out name in
+    output_string oc content;
+    close_out oc
+  in
+  let found () =
+    List.map
+      (fun i -> (Filename.basename i.Staticcheck.Report.file, i.Staticcheck.Report.rule))
+      (Staticcheck.analyze_paths [ dir ])
+  in
+  write (Filename.concat dir "tool.ml") "let ok = 1\n";
+  write (Filename.concat lib "bare.ml") "let ok = 1\n";
+  check_bool "library module without an interface flagged" true
+    (found () = [ ("bare.ml", "missing-mli") ]);
+  write (Filename.concat lib "bare.mli") "val ok : int\n";
+  check_bool "with its interface it is fine" true (found () = []);
+  List.iter Sys.remove
+    (List.map (Filename.concat lib) [ "bare.ml"; "bare.mli" ]
+    @ [ Filename.concat dir "tool.ml" ]);
+  Sys.rmdir lib;
+  Sys.rmdir dir
+
 let test_lint_driver_exit_code () =
   (* the driver sits next to this test in the build tree, whatever the cwd *)
   let exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/lint_main.exe"
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze_main.exe"
   in
   let dir = Filename.temp_file "lintcheck" "" in
   Sys.remove dir;
@@ -411,6 +443,7 @@ let () =
           Alcotest.test_case "quoted strings" `Quick test_lint_quoted_string;
           Alcotest.test_case "hashtbl create" `Quick test_lint_hashtbl_create;
           Alcotest.test_case "hot-path printf" `Quick test_lint_hot_path_printf;
+          Alcotest.test_case "missing interface" `Quick test_lint_missing_mli;
           Alcotest.test_case "driver exit code" `Quick test_lint_driver_exit_code;
         ] );
     ]

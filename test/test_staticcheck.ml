@@ -8,6 +8,8 @@
    reader (no JSON library in the tree) to check it is well-formed and
    round-trips the issue count. *)
 
+module Report = Staticcheck.Report
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -73,10 +75,10 @@ let test_domain_capture () =
   check_rules "spawned closure reaching a top-level ref flagged" [ "domain-capture" ]
     "let counter = ref 0\nlet go () = Domain.spawn (fun () -> incr counter)\n";
   check_rules "Thread.create counts as a spawn" [ "domain-capture" ]
-    "let hits = Hashtbl.create 8\n\
+    "let hits = Hashtbl.create 8 (* hash-order: test rig *)\n\
      let go () = Thread.create (fun () -> Hashtbl.clear hits) ()\n";
   check_rules "reachability through a named local worker" [ "domain-capture" ]
-    "let hits = Hashtbl.create 8\n\
+    "let hits = Hashtbl.create 8 (* hash-order: test rig *)\n\
      let go () =\n\
     \  let worker () = Hashtbl.clear hits in\n\
     \  Domain.spawn worker\n";
@@ -108,8 +110,8 @@ let test_domain_capture_module_alias () =
 (* The acceptance fixture for subsuming the old text rule: mutable state
    declared inside a nested module and reached through a module alias.
    The retired text scan only matched column-zero [let … = ref …] lines,
-   so this exact source was invisible to it — the AST pass must flag it
-   (and the text lint must stay silent, proving where the rule now lives). *)
+   so this exact source was invisible to it — the AST pass must flag it,
+   once, as experiment-state and nothing else. *)
 let test_experiment_state_alias () =
   let src =
     "module State = struct\n\
@@ -121,8 +123,8 @@ let test_experiment_state_alias () =
   Alcotest.(check (list string)) "nested mutable global flagged under experiments/"
     [ "experiment-state" ]
     (rules (analyze ~file:"lib/experiments/fake.ml" src));
-  check_bool "text lint no longer owns the rule" true
-    (Lint.lint_source ~file:"lib/experiments/fake.ml" src = []);
+  check_int "reported once, at the declaration" 1
+    (List.length (analyze ~file:"lib/experiments/fake.ml" src));
   check_rules "same source outside experiments/ is fine" [] src
 
 let test_experiment_state () =
@@ -178,7 +180,7 @@ let test_effect_nondet_chain () =
 
 let test_effect_hash_order () =
   let src =
-    "let table = Hashtbl.create 8\n\
+    "let table = Hashtbl.create 8 (* hash-order: test rig *)\n\
      let sum () = Hashtbl.fold (fun _ v acc -> acc + v) table 0\n\
      let run_all () = sum ()\n"
   in
@@ -188,6 +190,22 @@ let test_effect_hash_order () =
   match issues with
   | [ i ] -> check_int "located at the fold" 2 i.Report.line
   | _ -> Alcotest.fail "expected exactly one issue"
+
+(* The [random] source rule is not subsumed by effect-nondet: the effect
+   pass reports only what a simulation entry point reaches, so a global
+   [Random] use in a driver that no entry point reaches is the source
+   rule's alone. *)
+let test_random_unreached () =
+  let issues =
+    analyze ~file:"bin/tool.ml" "let () = Random.self_init ()\nlet roll () = Random.int 6\n"
+  in
+  Alcotest.(check (list string)) "flagged by the source rule only" [ "random" ] (rules issues);
+  check_int "one finding per use" 2 (List.length issues);
+  Alcotest.(check (list string)) "reached from an entry point, both rules fire"
+    [ "effect-nondet"; "random" ]
+    (rules
+       (analyze ~file:"lib/runner/runner.ml"
+          "let roll () = Random.int 6\nlet run_all () = roll ()\n"))
 
 let test_effect_ambient () =
   Alcotest.(check (list string)) "environment read from an entry"
@@ -397,6 +415,29 @@ let test_alloc_violating_idioms () =
     "let add a b = a + b\n(* alloc: none *)\nlet hot x = add x\n";
   check_rules "formatted printing allocates" [ "alloc-in-hot-path" ]
     "(* alloc: none *)\nlet hot x = Printf.printf \"%d\" x\n"
+
+(* Local bindings shadow same-named top-level ones: a parameter, a
+   [let]-rebound ref or an applied closure parameter is a local, never a
+   reference to the top-level binding of that name. *)
+let test_alloc_local_scope () =
+  check_rules "a parameter is not the same-named top-level binding" []
+    "let levels t = Array.copy t\n\
+     let rec sum_from levels i =\n\
+    \  if i >= Array.length levels then 0 else levels.(i) + sum_from levels (i + 1)\n\
+     (* alloc: none *)\n\
+     let hot lv = sum_from lv 0\n";
+  check_rules "a let rebinding ends the ref's scope" []
+    "(* alloc: none *)\n\
+     let hot n =\n\
+    \  let level = ref 0 in\n\
+    \  for i = 0 to n do level := !level + i done;\n\
+    \  let level = !level in\n\
+    \  level + 1\n";
+  check_rules "an applied parameter is not the top-level function" []
+    "let step x = Some x\n(* alloc: none *)\nlet hot step x = step x\n";
+  check_rules "the top-level binding is still reached when not shadowed"
+    [ "alloc-in-hot-path" ]
+    "let levels t = Array.copy t\n(* alloc: none *)\nlet hot lv = Array.length (levels lv)\n"
 
 let test_alloc_waiver () =
   check_rules "waiver on the allocating line applies" []
@@ -942,7 +983,7 @@ let test_sarif_baseline_diff () =
   check_int "empty baseline suppresses nothing" 2
     (List.length empty.Staticcheck.Sarif.fresh)
 
-(* Every rule either checker can emit has an --explain entry. *)
+(* Every rule the analyzer can emit has an --explain entry. *)
 let test_explain_coverage () =
   List.iter
     (fun rule ->
@@ -951,12 +992,12 @@ let test_explain_coverage () =
       "parse-error"; "unit-arith"; "unit-call"; "unit-binding"; "domain-capture";
       "experiment-state"; "effect-nondet"; "effect-ambient"; "lock-discipline";
       "alloc-in-hot-path"; "alloc-unknown-callee"; "float-eq"; "random";
-      "assert-false"; "mutable-doc"; "hashtbl-create"; "hot-path-printf";
+      "assert-false"; "mutable-doc"; "missing-mli"; "hashtbl-create";
       "float-fold-order";
     ];
   check_bool "unknown rule has no entry" true (Staticcheck.Explain.find "no-such-rule" = None)
 
-(* The acceptance check, mirroring the lint one: the standalone driver
+(* The acceptance check: the standalone driver
    (what [dune build @analyze] runs) exits 0 on a clean tree, nonzero on a
    planted violation, and always leaves a parseable SARIF file behind. *)
 let test_driver_exit_code () =
@@ -1066,7 +1107,9 @@ let test_driver_alloc_determinism () =
   List.iter
     (fun rule ->
       check_int ("--explain " ^ rule ^ " exits 0") 0 (run [ "--explain"; rule ]))
-    [ "alloc-in-hot-path"; "alloc-unknown-callee"; "hot-path-printf" ];
+    [ "alloc-in-hot-path"; "alloc-unknown-callee" ];
+  check_int "--explain of the retired hot-path-printf exits 2" 2
+    (run [ "--explain"; "hot-path-printf" ]);
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -1103,6 +1146,7 @@ let () =
           Alcotest.test_case "nondet call chain" `Quick test_effect_nondet_chain;
           Alcotest.test_case "hash-order iteration" `Quick test_effect_hash_order;
           Alcotest.test_case "ambient reads" `Quick test_effect_ambient;
+          Alcotest.test_case "random outside simulation reach" `Quick test_random_unreached;
           Alcotest.test_case "seeded draws are clean" `Quick test_effect_seeded_clean;
           Alcotest.test_case "use-site waiver" `Quick test_effect_waiver;
           test_effect_solve_monotone;
@@ -1125,6 +1169,7 @@ let () =
           Alcotest.test_case "clean idioms" `Quick test_alloc_clean_idioms;
           Alcotest.test_case "violating idioms" `Quick test_alloc_violating_idioms;
           Alcotest.test_case "waivers" `Quick test_alloc_waiver;
+          Alcotest.test_case "local scope" `Quick test_alloc_local_scope;
           Alcotest.test_case "cross-unit float boxing" `Quick test_alloc_crossbox;
           Alcotest.test_case "static/dynamic consistency" `Quick test_alloc_consistency;
           Alcotest.test_case "driver determinism" `Quick test_driver_alloc_determinism;
