@@ -1,7 +1,26 @@
 (* CLI runner for the paper's experiments: list them, run a selection or
-   all, optionally dumping the figure series as CSV. *)
+   all, optionally dumping the figure series as CSV, or profile the
+   §5.3 scenario under any scheduler, governor and load. *)
 
 open Cmdliner
+
+let scale =
+  let positive s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | Some _ | None -> Error (Printf.sprintf "%S is not a positive number" s)
+  in
+  Arg.(
+    value
+    & opt (conv' (positive, Format.pp_print_float)) 1.0
+    & info [ "scale" ] ~docv:"S"
+        ~doc:"Time compression: 1.0 reproduces paper-length runs, 0.1 is a quick pass.")
+
+let outdir =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Also write each figure's series as CSV.")
 
 let list_cmd =
   let doc = "List every reproduced experiment." in
@@ -14,6 +33,16 @@ let list_cmd =
       Experiments.Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+
+let run_one outdir scale e =
+  let output = Experiments.Experiment.run e ~scale in
+  Experiments.Experiment.print Format.std_formatter output;
+  match outdir with
+  | Some dir ->
+      List.iter
+        (fun path -> Printf.printf "wrote %s\n" path)
+        (Experiments.Experiment.save_csvs output ~dir)
+  | None -> ()
 
 let run_experiments ids scale outdir =
   let selected =
@@ -29,36 +58,45 @@ let run_experiments ids scale outdir =
                 exit 2)
           ids
   in
-  List.iter
-    (fun e ->
-      let output = Experiments.Experiment.run e ~scale in
-      Experiments.Experiment.print Format.std_formatter output;
-      match outdir with
-      | Some dir ->
-          List.iter
-            (fun path -> Printf.printf "wrote %s\n" path)
-            (Experiments.Experiment.save_csvs output ~dir)
-      | None -> ())
-    selected
+  List.iter (run_one outdir scale) selected
 
 let run_cmd =
   let doc = "Run experiments (all when none are named)." in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (see list).")
   in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"S"
-          ~doc:"Time compression: 1.0 reproduces paper-length runs, 0.1 is a quick pass.")
-  in
-  let outdir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Also write each figure's series as CSV.")
-  in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run_experiments $ ids $ scale $ outdir)
+
+(* profile: the Figs 2-10 scenario under a free choice of scheduler,
+   governor and load. *)
+
+let loads = [ ("exact", Experiments.Scenario.Exact); ("thrashing", Experiments.Scenario.Thrashing) ]
+
+let profile sched gov load scale outdir =
+  let name_of table v = fst (List.find (fun (_, x) -> x = v) table) in
+  let title =
+    Printf.sprintf "%s scheduler, %s governor, %s load" (name_of Domconfig.schedulers sched)
+      (name_of Domconfig.governors gov) (name_of loads load)
+  in
+  run_one outdir scale
+    (Experiments.Profile.make ~id:"profile" ~title ~paper_ref:"§5.3" ~sched ~gov ~load
+       ~view:Global ~expected:[])
+
+let profile_cmd =
+  let doc =
+    "Run the V20/V70 three-phase scenario of Figs 2-10 under one scheduler, governor and load."
+  in
+  let choice table default names docv what =
+    Arg.(
+      value & opt (enum table) default
+      & info names ~docv ~doc:(what ^ ", " ^ doc_alts_enum table ^ "."))
+  in
+  let sched =
+    choice Domconfig.schedulers Domconfig.Credit [ "s"; "scheduler" ] "SCHED" "Scheduler"
+  in
+  let gov = choice Domconfig.governors Domconfig.Stable [ "g"; "governor" ] "GOV" "Governor" in
+  let load = choice loads Experiments.Scenario.Exact [ "l"; "load" ] "LOAD" "Active load" in
+  Cmd.v (Cmd.info "profile" ~doc) Term.(const profile $ sched $ gov $ load $ scale $ outdir)
 
 (* run-all: the whole registry on a domain pool, with a JSON manifest. *)
 
@@ -105,12 +143,6 @@ let run_all_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker pool size (default: \\$DVFS_JOBS, else the recommended domain count).")
   in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"S"
-          ~doc:"Time compression: 1.0 reproduces paper-length runs, 0.1 is a quick pass.")
-  in
   let manifest =
     Arg.(
       value
@@ -139,4 +171,4 @@ let run_all_cmd =
 let () =
   let doc = "Reproduction experiments for 'DVFS Aware CPU Credit Enforcement'" in
   let info = Cmd.info "dvfs-experiments" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; run_all_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; profile_cmd; run_all_cmd ]))

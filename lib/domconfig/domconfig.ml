@@ -39,6 +39,35 @@ type t = {
 
 let ( let* ) = Result.bind
 
+(* The CLI and config names, each spelled once; parsing and printing both
+   read these tables, and a value's first name is the one printed. *)
+let schedulers = [ ("credit", Credit); ("sedf", Sedf); ("credit2", Credit2); ("pas", Pas_sched) ]
+
+let governors =
+  [
+    ("performance", Performance);
+    ("powersave", Powersave);
+    ("ondemand", Ondemand);
+    ("stable", Stable);
+    ("stable-ondemand", Stable);
+    ("conservative", Conservative);
+    ("none", No_governor);
+  ]
+
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+let sched_name = name_in schedulers
+let gov_name = name_in governors
+
+(* Times are whole microseconds; capping every time key keeps the
+   conversion far from overflow, and is also an open window's end. *)
+let max_seconds = 1e9
+
+(* The active window of a phased web workload as [build] schedules it:
+   the start is at least 1 us, an open end is [max_seconds]. *)
+let active_window from_s until_s =
+  ( Sim_time.max (Sim_time.of_us 1) (Sim_time.of_sec_f (Option.value from_s ~default:0.0)),
+    Sim_time.of_sec_f (Option.value until_s ~default:max_seconds) )
+
 let fail lineno fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "line %d: %s" lineno msg)) fmt
 
 let split_pairs lineno tokens =
@@ -56,15 +85,24 @@ let split_pairs lineno tokens =
 
 let lookup pairs key = List.assoc_opt key pairs
 
-let float_of lineno key value =
+(* A finite number for which [ok] holds, else a range error naming what
+   the key accepts: [build] must never see a value its constructors
+   reject. *)
+let float_in lineno key ~what ok value =
   match float_of_string_opt value with
-  | Some f -> Ok f
   | None -> fail lineno "key %s: %S is not a number" key value
+  | Some f when Float.is_finite f && ok f -> Ok f
+  | Some _ -> fail lineno "key %s: %S is out of range (allowed: %s)" key value what
 
-let int_of lineno key value =
+let int_in lineno key ~what ok value =
   match int_of_string_opt value with
-  | Some i -> Ok i
   | None -> fail lineno "key %s: %S is not an integer" key value
+  | Some i when ok i -> Ok i
+  | Some _ -> fail lineno "key %s: %S is out of range (allowed: %s)" key value what
+
+let seconds lineno key =
+  float_in lineno key ~what:"[0, 1e9] s" (fun s -> s >= 0.0 && s <= max_seconds)
+let positive lineno key = float_in lineno key ~what:"> 0" (fun x -> x > 0.0)
 
 let bool_of lineno key value =
   match String.lowercase_ascii value with
@@ -74,6 +112,10 @@ let bool_of lineno key value =
 
 let opt_default parse default = function None -> Ok default | Some v -> parse v
 let opt_map parse = function None -> Ok None | Some v -> Result.map Option.some (parse v)
+
+let required lineno what parse = function
+  | Some v -> parse v
+  | None -> fail lineno "%s" what
 
 let check_known lineno allowed pairs =
   match List.find_opt (fun (k, _) -> not (List.mem k allowed)) pairs with
@@ -96,37 +138,29 @@ let arch_of lineno value =
   | Some a -> Ok a
   | None -> fail lineno "unknown architecture %S" value
 
-let sched_of lineno value =
-  match String.lowercase_ascii value with
-  | "credit" -> Ok Credit
-  | "sedf" -> Ok Sedf
-  | "credit2" -> Ok Credit2
-  | "pas" -> Ok Pas_sched
-  | _ -> fail lineno "unknown scheduler %S" value
-
-let gov_of lineno value =
-  match String.lowercase_ascii value with
-  | "performance" -> Ok Performance
-  | "powersave" -> Ok Powersave
-  | "ondemand" -> Ok Ondemand
-  | "stable" | "stable-ondemand" -> Ok Stable
-  | "conservative" -> Ok Conservative
-  | "none" -> Ok No_governor
-  | _ -> fail lineno "unknown governor %S" value
+let of_name lineno what table value =
+  match List.assoc_opt (String.lowercase_ascii value) table with
+  | Some v -> Ok v
+  | None -> fail lineno "unknown %s %S" what value
 
 let parse_host lineno pairs host =
   let* () =
     check_known lineno [ "arch"; "scheduler"; "governor"; "duration" ] pairs
   in
-  let* arch = opt_default (arch_of lineno) host.arch (lookup pairs "arch" |> Option.map Fun.id)
+  let* arch = opt_default (arch_of lineno) host.arch (lookup pairs "arch") in
+  let* scheduler =
+    opt_default (of_name lineno "scheduler" schedulers) host.scheduler (lookup pairs "scheduler")
   in
-  let* scheduler = opt_default (sched_of lineno) host.scheduler (lookup pairs "scheduler") in
-  let* governor = opt_default (gov_of lineno) host.governor (lookup pairs "governor") in
+  let* governor =
+    opt_default (of_name lineno "governor" governors) host.governor (lookup pairs "governor")
+  in
   let* duration_s =
-    opt_default (float_of lineno "duration") host.duration_s (lookup pairs "duration")
+    opt_default
+      (float_in lineno "duration" ~what:"(0, 1e9] s" (fun s ->
+           s > 0.0 && s <= max_seconds))
+      host.duration_s (lookup pairs "duration")
   in
-  if duration_s <= 0.0 then fail lineno "duration must be positive"
-  else Ok { host with arch; scheduler; governor; duration_s }
+  Ok { host with arch; scheduler; governor; duration_s }
 
 let parse_workload lineno pairs =
   match Option.map String.lowercase_ascii (lookup pairs "workload") with
@@ -134,24 +168,38 @@ let parse_workload lineno pairs =
   | Some "busy" -> Ok Busy
   | Some "web" ->
       let* rate =
-        match lookup pairs "rate" with
-        | Some v -> float_of lineno "rate" v
-        | None -> fail lineno "web workload requires rate="
+        required lineno "web workload requires rate="
+          (float_in lineno "rate" ~what:">= 0" (fun r -> r >= 0.0))
+          (lookup pairs "rate")
       in
-      let* from_s = opt_map (float_of lineno "from") (lookup pairs "from") in
-      let* until_s = opt_map (float_of lineno "until") (lookup pairs "until") in
-      let* timeout_s = opt_default (float_of lineno "timeout") 10.0 (lookup pairs "timeout") in
+      let* from_s = opt_map (seconds lineno "from") (lookup pairs "from") in
+      let* until_s = opt_map (seconds lineno "until") (lookup pairs "until") in
+      let* () =
+        match (from_s, until_s) with
+        | None, None -> Ok ()
+        | _ ->
+            let lo, hi = active_window from_s until_s in
+            if Sim_time.compare lo hi < 0 then Ok ()
+            else fail lineno "empty active window: until must come after from (and after 1 us)"
+      in
+      let* timeout_s =
+        opt_default
+          (float_in lineno "timeout" ~what:"[1e-6, 1e9] s" (fun s -> s >= 1e-6 && s <= max_seconds))
+          10.0 (lookup pairs "timeout")
+      in
       let* request_work =
-        opt_default (float_of lineno "request_work") 0.005 (lookup pairs "request_work")
+        opt_default (positive lineno "request_work") 0.005 (lookup pairs "request_work")
       in
       Ok (Web { rate; from_s; until_s; timeout_s; request_work })
   | Some "pi" ->
       let* work =
-        match lookup pairs "work" with
-        | Some v -> float_of lineno "work" v
-        | None -> fail lineno "pi workload requires work="
+        required lineno "pi workload requires work=" (positive lineno "work") (lookup pairs "work")
       in
-      let* duty = opt_default (float_of lineno "duty") 1.0 (lookup pairs "duty") in
+      let* duty =
+        opt_default
+          (float_in lineno "duty" ~what:"(0, 1]" (fun d -> d > 0.0 && d <= 1.0))
+          1.0 (lookup pairs "duty")
+      in
       Ok (Pi { work; duty })
   | Some other -> fail lineno "unknown workload %S" other
 
@@ -162,19 +210,16 @@ let parse_domain lineno pairs =
         "timeout"; "request_work"; "work"; "duty" ]
       pairs
   in
-  let* name =
-    match lookup pairs "name" with
-    | Some n -> Ok n
-    | None -> fail lineno "domain requires name="
-  in
+  let* name = required lineno "domain requires name=" Result.ok (lookup pairs "name") in
   let* credit =
-    match lookup pairs "credit" with
-    | Some v -> float_of lineno "credit" v
-    | None -> fail lineno "domain requires credit="
+    required lineno "domain requires credit="
+      (float_in lineno "credit" ~what:"[0, 100]" (fun c -> c >= 0.0 && c <= 100.0))
+      (lookup pairs "credit")
   in
-  let* weight = opt_default (int_of lineno "weight") 256 (lookup pairs "weight") in
+  let at_least_one key = int_in lineno key ~what:">= 1" (fun i -> i >= 1) in
+  let* weight = opt_default (at_least_one "weight") 256 (lookup pairs "weight") in
   let* dom0 = opt_default (bool_of lineno "dom0") false (lookup pairs "dom0") in
-  let* vcpus = opt_default (int_of lineno "vcpus") 1 (lookup pairs "vcpus") in
+  let* vcpus = opt_default (at_least_one "vcpus") 1 (lookup pairs "vcpus") in
   let* workload = parse_workload lineno pairs in
   Ok { name; credit; weight; dom0; vcpus; workload }
 
@@ -188,11 +233,12 @@ let default_host =
   }
 
 let parse text =
-  let lines = String.split_on_char '\n' text in
+  (* deterministic: lookup-only table of the domain names seen so far *)
+  let names = Hashtbl.create 16 in
   let rec loop lineno host domains = function
     | [] -> (
         match domains with
-        | [] -> Error "no domain directives found"
+        | [] -> fail (lineno - 1) "no domain directives found"
         | _ -> Ok { host with domains = List.rev domains })
     | line :: rest -> (
         let line = match String.index_opt line '#' with
@@ -213,12 +259,14 @@ let parse text =
         | "domain" :: pairs_tokens ->
             let* pairs = split_pairs lineno pairs_tokens in
             let* dom = parse_domain lineno pairs in
-            if List.exists (fun d -> String.equal d.name dom.name) domains then
-              fail lineno "duplicate domain name %S" dom.name
-            else loop (lineno + 1) host (dom :: domains) rest
+            if Hashtbl.mem names dom.name then fail lineno "duplicate domain name %S" dom.name
+            else begin
+              Hashtbl.add names dom.name ();
+              loop (lineno + 1) host (dom :: domains) rest
+            end
         | directive :: _ -> fail lineno "unknown directive %S" directive)
   in
-  loop 1 default_host [] lines
+  loop 1 default_host [] (String.split_on_char '\n' text)
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -247,11 +295,7 @@ let build_workload spec =
         match (from_s, until_s) with
         | None, None -> Workloads.Phases.constant ~rate
         | from_s, until_s ->
-            let active_from =
-              Sim_time.max (Sim_time.of_us 1)
-                (Sim_time.of_sec_f (Option.value from_s ~default:0.0))
-            in
-            let active_until = Sim_time.of_sec_f (Option.value until_s ~default:1e9) in
+            let active_from, active_until = active_window from_s until_s in
             Workloads.Phases.three_phase ~active_from ~active_until ~rate
       in
       let app =
@@ -301,38 +345,35 @@ let build ?(wrap = Fun.id) t =
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
-let sched_name = function
-  | Credit -> "credit"
-  | Sedf -> "sedf"
-  | Credit2 -> "credit2"
-  | Pas_sched -> "pas"
-
-let gov_name = function
-  | Performance -> "performance"
-  | Powersave -> "powersave"
-  | Ondemand -> "ondemand"
-  | Stable -> "stable"
-  | Conservative -> "conservative"
-  | No_governor -> "none"
+(* The fewest significant digits, 15 to 17, that read back as the same
+   float (%g's six would not); any float needing at most 15 prints in
+   its shortest form, as %g strips trailing zeros. *)
+let pp_float ppf f =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else shortest (p + 1)
+  in
+  Format.pp_print_string ppf (shortest 15)
 
 let pp_workload ppf = function
   | Idle -> Format.fprintf ppf "workload=idle"
   | Busy -> Format.fprintf ppf "workload=busy"
   | Web { rate; from_s; until_s; timeout_s; request_work } ->
-      Format.fprintf ppf "workload=web rate=%g" rate;
-      Option.iter (Format.fprintf ppf " from=%g") from_s;
-      Option.iter (Format.fprintf ppf " until=%g") until_s;
-      Format.fprintf ppf " timeout=%g request_work=%g" timeout_s request_work
-  | Pi { work; duty } -> Format.fprintf ppf "workload=pi work=%g duty=%g" work duty
+      Format.fprintf ppf "workload=web rate=%a" pp_float rate;
+      Option.iter (Format.fprintf ppf " from=%a" pp_float) from_s;
+      Option.iter (Format.fprintf ppf " until=%a" pp_float) until_s;
+      Format.fprintf ppf " timeout=%a request_work=%a" pp_float timeout_s pp_float request_work
+  | Pi { work; duty } ->
+      Format.fprintf ppf "workload=pi work=%a duty=%a" pp_float work pp_float duty
 
 let pp_spec ppf t =
   let arch_token = String.map (function ' ' -> '_' | c -> c) t.arch.Cpu_model.Arch.name in
-  Format.fprintf ppf "host arch=%s scheduler=%s governor=%s duration=%g@."
-    arch_token (sched_name t.scheduler) (gov_name t.governor) t.duration_s;
+  Format.fprintf ppf "host arch=%s scheduler=%s governor=%s duration=%a@."
+    arch_token (sched_name t.scheduler) (gov_name t.governor) pp_float t.duration_s;
   List.iter
     (fun d ->
-      Format.fprintf ppf "domain name=%s credit=%g weight=%d%s vcpus=%d %a@." d.name d.credit
-        d.weight
+      Format.fprintf ppf "domain name=%s credit=%a weight=%d%s vcpus=%d %a@." d.name pp_float
+        d.credit d.weight
         (if d.dom0 then " dom0=true" else "")
         d.vcpus pp_workload d.workload)
     t.domains

@@ -18,14 +18,16 @@ domain name=V70   credit=70 workload=pi  work=100 duty=0.5
     config should never be silently ignored.
 
     Keys: [host]: [arch] (a {!Cpu_model.Arch.find} name or the shorthands
-    [optiplex-755] / [elite-8300]), [scheduler] ([credit]|[sedf]|[credit2]|
-    [pas]), [governor] ([performance]|[powersave]|[ondemand]|[stable]|
-    [conservative]|[none]), [duration] (seconds).
-    [domain]: [name], [credit] (percent), [weight], [dom0] (bool), [vcpus],
-    [workload] ([idle]|[busy]|[web]|[pi]) plus per-workload keys: web —
-    [rate] (absolute work/s), [from]/[until] (s, optional active window),
-    [timeout] (s, default 10), [request_work] (s); pi — [work] (absolute
-    s), [duty] (0–1]. *)
+    [optiplex-755] / [elite-8300]), [scheduler] (a {!schedulers} name),
+    [governor] (a {!governors} name), [duration] (seconds, (0, 1e9]).
+    [domain]: [name], [credit] (percent, [0, 100]), [weight] (>= 1), [dom0]
+    (bool), [vcpus] (>= 1), [workload] ([idle]|[busy]|[web]|[pi]) plus
+    per-workload keys: web — [rate] (absolute work/s, >= 0), [from]/[until]
+    (s in [0, 1e9], an optional non-empty active window), [timeout] (s in
+    [1e-6, 1e9], default 10), [request_work] (s, > 0); pi — [work]
+    (absolute s, > 0), [duty] (0, 1].  Numbers must be finite; a value out
+    of range is a parse error at its line, so every configuration [parse]
+    accepts also {!build}s. *)
 
 type workload_spec =
   | Idle
@@ -51,6 +53,15 @@ type domain_spec = {
 type sched_spec = Credit | Sedf | Credit2 | Pas_sched
 type gov_spec = Performance | Powersave | Ondemand | Stable | Conservative | No_governor
 
+val schedulers : (string * sched_spec) list
+(** Every scheduler's config and command-line name: [credit], [sedf],
+    [credit2], [pas]. *)
+
+val governors : (string * gov_spec) list
+(** Every governor's config and command-line name: [performance],
+    [powersave], [ondemand], [stable] (alias [stable-ondemand]),
+    [conservative], [none].  {!pp_spec} prints a value's first name. *)
+
 type t = {
   arch : Cpu_model.Arch.t;
   scheduler : sched_spec;
@@ -60,8 +71,9 @@ type t = {
 }
 
 val parse : string -> (t, string) result
-(** Parses a whole configuration; the error string carries the offending
-    line number. *)
+(** Parses a whole configuration; the error string starts with
+    [line N:], the offending line (the last line when no domain is
+    declared). *)
 
 val parse_file : string -> (t, string) result
 
@@ -85,7 +97,8 @@ val build : ?wrap:(Workloads.Workload.t -> Workloads.Workload.t) -> t -> built
     for a caller that interposes on the workloads. *)
 
 val pp_spec : Format.formatter -> t -> unit
-(** Round-trippable rendering of a parsed configuration. *)
+(** Round-trippable rendering of a parsed configuration: every float is
+    printed as the shortest decimal that parses back to the same value. *)
 
 val jobs_env_var : string
 (** ["DVFS_JOBS"]. *)

@@ -2,22 +2,6 @@ module Domain = Hypervisor.Domain
 module Host = Hypervisor.Host
 module Processor = Cpu_model.Processor
 
-(* Mean shortfall of a domain's absolute load below its credit, over samples
-   in [lo, hi]. *)
-let deficit_between host domain lo hi =
-  let series = Host.series_domain_absolute_load host domain in
-  let credit = Domain.initial_credit domain in
-  let times = Series.times series and values = Series.values series in
-  let sum = ref 0.0 and n = ref 0 in
-  Array.iteri
-    (fun i time ->
-      if Sim_time.compare time lo >= 0 && Sim_time.compare time hi <= 0 then begin
-        sum := !sum +. Float.max 0.0 (credit -. values.(i));
-        incr n
-      end)
-    times;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
 (* The reactivity scenario: V20 thrashes from the start; V70 is active until
    [switch], after which the host empties, the frequency drops, and the PAS
    variant under test must promptly raise V20's credit. *)
@@ -45,8 +29,8 @@ let implementation_run ~seed:_ ~scale =
     let host = Host.create ~sim ~processor ~scheduler ?governor () in
     arm_daemon host scheduler;
     Host.run_for host duration;
-    let transition = deficit_between host v20 switch (t 660.0) in
-    let steady = deficit_between host v20 (t 660.0) (t 1150.0) in
+    let transition = Scenario.deficit_between host v20 switch (t 660.0) in
+    let steady = Scenario.deficit_between host v20 (t 660.0) (t 1150.0) in
     (name, transition, steady)
   in
   let variants =
@@ -103,12 +87,12 @@ let implementation_run ~seed:_ ~scale =
 let energy_run ~seed:_ ~scale =
   let configs =
     [
-      ("credit + performance", Scenario.Credit, Scenario.Performance);
-      ("credit + stock ondemand", Scenario.Credit, Scenario.Stock_ondemand);
-      ("credit + stable ondemand", Scenario.Credit, Scenario.Stable_ondemand);
-      ("credit2 + stable ondemand", Scenario.Credit2, Scenario.Stable_ondemand);
-      ("sedf + stable ondemand", Scenario.Sedf, Scenario.Stable_ondemand);
-      ("PAS", Scenario.Pas_scheduler, Scenario.No_governor);
+      ("credit + performance", Domconfig.Credit, Domconfig.Performance);
+      ("credit + stock ondemand", Domconfig.Credit, Domconfig.Ondemand);
+      ("credit + stable ondemand", Domconfig.Credit, Domconfig.Stable);
+      ("credit2 + stable ondemand", Domconfig.Credit2, Domconfig.Stable);
+      ("sedf + stable ondemand", Domconfig.Sedf, Domconfig.Stable);
+      ("PAS", Domconfig.Pas_sched, Domconfig.No_governor);
     ]
   in
   let summary =

@@ -72,13 +72,13 @@ let make ~id ~title ~paper_ref ~sched ~gov ~load ~view ~expected =
 
 let fig2 =
   make ~id:"fig2" ~title:"Load profile at maximum frequency" ~paper_ref:"Fig. 2, §5.3"
-    ~sched:Scenario.Credit ~gov:Scenario.Performance ~load:Scenario.Exact ~view:Global
+    ~sched:Domconfig.Credit ~gov:Domconfig.Performance ~load:Scenario.Exact ~view:Global
     ~expected:
       [ "paper: V20 plateaus at 20%, V70 at 70%, frequency pinned at 2667 MHz" ]
 
 let fig3 =
   make ~id:"fig3" ~title:"Credit scheduler under stock ondemand (oscillating)"
-    ~paper_ref:"Fig. 3, §5.4" ~sched:Scenario.Credit ~gov:Scenario.Stock_ondemand
+    ~paper_ref:"Fig. 3, §5.4" ~sched:Domconfig.Credit ~gov:Domconfig.Ondemand
     ~load:Scenario.Exact ~view:Global
     ~expected:
       [
@@ -88,14 +88,14 @@ let fig3 =
 
 let fig4 =
   make ~id:"fig4" ~title:"Credit scheduler under the authors' stable governor"
-    ~paper_ref:"Fig. 4, §5.4" ~sched:Scenario.Credit ~gov:Scenario.Stable_ondemand
+    ~paper_ref:"Fig. 4, §5.4" ~sched:Domconfig.Credit ~gov:Domconfig.Stable
     ~load:Scenario.Exact ~view:Global
     ~expected:
       [ "paper: identical plateaus, stable staircase frequency (1600 MHz in phase A)" ]
 
 let fig5 =
   make ~id:"fig5" ~title:"Absolute loads: fix credit penalises V20" ~paper_ref:"Fig. 5, §5.4"
-    ~sched:Scenario.Credit ~gov:Scenario.Stable_ondemand ~load:Scenario.Exact ~view:Absolute
+    ~sched:Domconfig.Credit ~gov:Domconfig.Stable ~load:Scenario.Exact ~view:Absolute
     ~expected:
       [
         "paper: V20 absolute load ~10-12% in phase A (penalised by the low frequency),";
@@ -104,18 +104,18 @@ let fig5 =
 
 let fig6 =
   make ~id:"fig6" ~title:"SEDF global loads under exact load" ~paper_ref:"Fig. 6, §5.5"
-    ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand ~load:Scenario.Exact ~view:Global
+    ~sched:Domconfig.Sedf ~gov:Domconfig.Stable ~load:Scenario.Exact ~view:Global
     ~expected:
       [ "paper: V20 at ~35% in phase A (unused slices), back to 20% in phase B" ]
 
 let fig7 =
   make ~id:"fig7" ~title:"SEDF absolute loads under exact load" ~paper_ref:"Fig. 7, §5.5"
-    ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand ~load:Scenario.Exact ~view:Absolute
+    ~sched:Domconfig.Sedf ~gov:Domconfig.Stable ~load:Scenario.Exact ~view:Absolute
     ~expected:[ "paper: V20 holds 20% absolute during the entire experiment" ]
 
 let fig8 =
   make ~id:"fig8" ~title:"SEDF under thrashing load: frequency stuck at max"
-    ~paper_ref:"Fig. 8, §5.6" ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand
+    ~paper_ref:"Fig. 8, §5.6" ~sched:Domconfig.Sedf ~gov:Domconfig.Stable
     ~load:Scenario.Thrashing ~view:Global
     ~expected:
       [
@@ -125,7 +125,7 @@ let fig8 =
 
 let fig9 =
   make ~id:"fig9" ~title:"PAS global loads under thrashing load" ~paper_ref:"Fig. 9, §5.7"
-    ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor ~load:Scenario.Thrashing
+    ~sched:Domconfig.Pas_sched ~gov:Domconfig.No_governor ~load:Scenario.Thrashing
     ~view:Global
     ~expected:
       [
@@ -134,7 +134,7 @@ let fig9 =
 
 let fig10 =
   make ~id:"fig10" ~title:"PAS absolute loads under thrashing load" ~paper_ref:"Fig. 10, §5.7"
-    ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor ~load:Scenario.Thrashing
+    ~sched:Domconfig.Pas_sched ~gov:Domconfig.No_governor ~load:Scenario.Thrashing
     ~view:Absolute
     ~expected:
       [ "paper: V20 holds 20% absolute in every phase; frequency low while V70 is lazy" ]

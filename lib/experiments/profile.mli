@@ -6,6 +6,17 @@
     plus the mean frequency, so every claim the paper attaches to a figure
     can be checked numerically. *)
 
+type view = Global | Absolute  (** which load series the plot shows *)
+
+val make :
+  id:string -> title:string -> paper_ref:string -> sched:Domconfig.sched_spec ->
+  gov:Domconfig.gov_spec -> load:Scenario.load_kind -> view:view -> expected:string list ->
+  Experiment.t
+(** One run of the scenario: a phase-mean table of both load views and
+    the frequency, the load and frequency plots, the series frame, and
+    notes — [expected] first, then V20's SLA deficit, the energy and,
+    under PAS, its decision counts. *)
+
 val fig2 : Experiment.t
 (** Credit scheduler, performance governor, exact load: the reference
     profile at maximum frequency. *)

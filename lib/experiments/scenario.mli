@@ -10,26 +10,31 @@
     V20 active over [500 s, 5000 s), V70 over [2500 s, 7000 s), total
     7500 s.  Phase A = V20 alone, phase B = both, phase C = V70 alone. *)
 
-type sched_kind = Credit | Sedf | Credit2 | Pas_scheduler
-type gov_kind = Performance | Stock_ondemand | Stable_ondemand | Powersave | No_governor
 type load_kind = Exact | Thrashing
 
 type spec = {
-  sched : sched_kind;
-  gov : gov_kind;
+  sched : Domconfig.sched_spec;
+  gov : Domconfig.gov_spec;
   load : load_kind;
   scale : float;  (** time compression: 1.0 = paper-length run *)
 }
 
 val spec :
-  ?sched:sched_kind -> ?gov:gov_kind -> ?load:load_kind -> ?scale:float -> unit -> spec
+  ?sched:Domconfig.sched_spec -> ?gov:Domconfig.gov_spec -> ?load:load_kind -> ?scale:float ->
+  unit -> spec
 (** Defaults: Credit scheduler, stable ondemand, exact load, scale 1.0. *)
+
+val config : spec -> Domconfig.t
+(** The scenario as a host configuration: Dom0, V20 and V70 as phased
+    [web] domains with the scaled timeline.  Printed with
+    {!Domconfig.pp_spec}, it replays under [xl_run]. *)
 
 type phase = A | B | C
 
 type result
 
 val run : spec -> result
+(** [Domconfig.build] of {!config}, run for the scaled duration. *)
 
 val host : result -> Hypervisor.Host.t
 val v20 : result -> Hypervisor.Domain.t
@@ -52,7 +57,12 @@ val frequency : result -> Series.t
 
 val mean_frequency : result -> phase -> float
 
+val deficit_between :
+  Hypervisor.Host.t -> Hypervisor.Domain.t -> Sim_time.t -> Sim_time.t -> float
+(** [deficit_between host d lo hi]: mean shortfall (in percentage points)
+    of [d]'s absolute load below its credit, over the samples in
+    [\[lo, hi\]]; 0 when there are none. *)
+
 val sla_deficit : result -> Hypervisor.Domain.t -> float
-(** Mean shortfall (in percentage points) of the domain's absolute load
-    below its credit, over the samples where the domain was active —
+(** {!deficit_between} over the inner 80 % of the domain's active window —
     the QoS-violation measure motivating the paper. *)

@@ -505,9 +505,17 @@ let check ~sources g =
   Array.iteri
     (fun i { Callgraph.nkey = fkey_i; nunit = funit; nbody = body } ->
       if not (Hashtbl.mem cold fkey_i) then begin
+        (* the nested module the binding sits in, e.g. [Running] for
+           [Stats.Running.add] *)
+        let scope =
+          match List.rev (String.split_on_char '.' fkey_i) with
+          | _ :: rev_scope -> List.tl (List.rev rev_scope)
+          | [] -> []
+        in
+        let resolve = Callgraph.resolve g ~cur:funit ~scope in
         let classify p =
           let d = Ast_util.dotted p in
-          match Callgraph.resolve g ~cur:funit p with
+          match resolve p with
           | Callgraph.Fun { fkey; funit = tu; _ } ->
               if Hashtbl.mem cold fkey then Hfree
               else
@@ -540,13 +548,12 @@ let check ~sources g =
                     with
                     | Some (_, desc) -> Halloc (Printf.sprintf "call to %s (%s)" d desc)
                     | None ->
-                        if List.length p = 1 then
-                          (* unqualified and unresolved: a local binding *)
-                          Hfree
-                        else Hunknown d))
+                        (* [walk] has already set locals aside, so an
+                           unresolved bare name is a builtin not known free *)
+                        Hunknown d))
         in
         let on_ref p =
-          match Callgraph.resolve g ~cur:funit p with
+          match resolve p with
           | Callgraph.Fun { fkey; _ } when not (Hashtbl.mem cold fkey) -> (
               match Callgraph.index g fkey with
               | Some j -> if i <> j then edges := (i, j) :: !edges

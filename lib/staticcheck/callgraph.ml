@@ -106,7 +106,7 @@ let rec strip_prefix pre path =
   | x :: xs, y :: ys when String.equal x y -> strip_prefix xs ys
   | _ -> None
 
-let resolve t ~cur path =
+let resolve t ~cur ?(scope = []) path =
   let rec go cur path fuel =
     if fuel = 0 then External path
     else
@@ -153,7 +153,14 @@ let resolve t ~cur path =
                   in
                   scan 0))
   in
-  go cur path 8
+  (* Inside nested module [scope] a name may be bound by any enclosing
+     module: try them innermost first, as OCaml's scoping does. *)
+  let rec within scope =
+    match (go cur (scope @ path) 8, scope) with
+    | External _, _ :: _ -> within (List.rev (List.tl (List.rev scope)))
+    | target, _ -> target
+  in
+  within scope
 
 (* Simulation entry points: the parallel runner's job bodies, the
    experiment registry, [Experiment.run], and — so single-file fixtures

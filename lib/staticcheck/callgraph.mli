@@ -37,10 +37,12 @@ type target =
       (** not declared by any scanned unit; the alias-resolved path is
           classified against the effect pass's primitive tables *)
 
-val resolve : t -> cur:unit_info -> string list -> target
+val resolve : t -> cur:unit_info -> ?scope:string list -> string list -> target
 (** Resolve a referenced path seen in unit [cur]: module aliases chased,
     [include]d modules searched at the prefix where the include appears,
-    re-exports followed across units.  Functor applications are opaque —
+    re-exports followed across units.  A reference made inside nested
+    module [scope] (default: the unit's top level) is tried against each
+    enclosing module, innermost first.  Functor applications are opaque —
     paths through [module M = F (X)] stay [External]. *)
 
 type node = { nkey : string; nunit : unit_info; nbody : Parsetree.expression }

@@ -92,12 +92,14 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The skip applies to entries met while walking, never to a root the
+   caller named, so a root of [.] or [dir/.] is analyzed. *)
 let rec collect path acc =
-  let base = Filename.basename path in
-  if base = "_build" || (String.length base > 0 && base.[0] = '.') then acc
-  else if Sys.is_directory path then
+  if Sys.is_directory path then
     Array.fold_left
-      (fun acc entry -> collect (Filename.concat path entry) acc)
+      (fun acc entry ->
+        if entry = "_build" || entry.[0] = '.' then acc
+        else collect (Filename.concat path entry) acc)
       acc (Sys.readdir path)
   else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
     path :: acc

@@ -62,9 +62,43 @@ let error_cases () =
   check_error "bad governor" "host governor=warp\ndomain name=a credit=1" "unknown governor";
   check_error "bad arch" "host arch=z80\ndomain name=a credit=1" "unknown architecture";
   check_error "duplicate domain" "domain name=a credit=1\ndomain name=a credit=2" "duplicate";
+  check_error "duplicate at its second line"
+    "domain name=a credit=1\ndomain name=b credit=1\n\ndomain name=a credit=2"
+    "line 4: duplicate domain name \"a\"";
   check_error "web needs rate" "domain name=a credit=1 workload=web" "requires rate";
   check_error "pi needs work" "domain name=a credit=1 workload=pi" "requires work";
-  check_error "bad duration" "host duration=-5\ndomain name=a credit=1" "duration"
+  check_error "bad duration" "host duration=-5\ndomain name=a credit=1" "duration";
+  check_error "empty config is located" "# only\n\n" "line 3: no domain"
+
+(* Every value [build] would reject is refused at its line. *)
+let range_errors () =
+  List.iter
+    (fun (line, key) ->
+      let msg = err (Domconfig.parse ("domain name=ok credit=1\n" ^ line)) in
+      let expected =
+        if key = "window" then "line 2: empty active window" else "line 2: key " ^ key
+      in
+      check_bool (line ^ ": " ^ msg) true (contains msg expected))
+    [
+      ("domain name=a credit=nan", "credit");
+      ("domain name=a credit=100.5", "credit");
+      ("domain name=a credit=-1", "credit");
+      ("domain name=a credit=1 weight=0", "weight");
+      ("domain name=a credit=1 vcpus=0", "vcpus");
+      ("domain name=a credit=1 workload=web rate=-1", "rate");
+      ("domain name=a credit=1 workload=web rate=inf", "rate");
+      ("domain name=a credit=1 workload=web rate=1 from=-5", "from");
+      ("domain name=a credit=1 workload=web rate=1 until=1e300", "until");
+      ("domain name=a credit=1 workload=web rate=1 from=20 until=10", "window");
+      ("domain name=a credit=1 workload=web rate=1 until=0", "window");
+      ("domain name=a credit=1 workload=web rate=1 timeout=0", "timeout");
+      ("domain name=a credit=1 workload=web rate=1 request_work=0", "request_work");
+      ("domain name=a credit=1 workload=pi work=0", "work");
+      ("domain name=a credit=1 workload=pi work=1 duty=0", "duty");
+      ("domain name=a credit=1 workload=pi work=1 duty=1.5", "duty");
+      ("host duration=nan", "duration");
+      ("host duration=2e9", "duration");
+    ]
 
 let error_line_numbers () =
   let msg = err (Domconfig.parse "domain name=a credit=1\n\ndomain name=b credit=oops") in
@@ -76,7 +110,24 @@ let roundtrip_pp () =
   let reparsed = ok (Domconfig.parse rendered) in
   check_int "same domain count" (List.length cfg.Domconfig.domains)
     (List.length reparsed.Domconfig.domains);
-  check_bool "same scheduler" true (reparsed.Domconfig.scheduler = cfg.Domconfig.scheduler)
+  check_bool "same scheduler" true (reparsed.Domconfig.scheduler = cfg.Domconfig.scheduler);
+  let cfg =
+    ok (Domconfig.parse "domain name=a credit=33.333333333333336 workload=web rate=0.1234567")
+  in
+  let rendered = Format.asprintf "%a" Domconfig.pp_spec cfg in
+  check_bool ("floats print exactly: " ^ rendered) true
+    (contains rendered "credit=33.333333333333336 " && contains rendered "rate=0.1234567 ");
+  check_bool "and short where they can" true (contains rendered "duration=600\n")
+
+(* The paper's scenario is a plain configuration: it prints, parses back
+   unchanged and therefore replays under xl_run. *)
+let scenario_config () =
+  let spec = Experiments.Scenario.spec ~sched:Domconfig.Pas_sched ~load:Thrashing ~scale:0.1 () in
+  let cfg = Experiments.Scenario.config spec in
+  let again = ok (Domconfig.parse (Format.asprintf "%a" Domconfig.pp_spec cfg)) in
+  check_bool "same domains" true (again.Domconfig.domains = cfg.Domconfig.domains);
+  check_bool "same scheduler" true (again.Domconfig.scheduler = Domconfig.Pas_sched);
+  check_float_eps 0.0 "same duration" cfg.Domconfig.duration_s again.Domconfig.duration_s
 
 let build_and_run () =
   let cfg = ok (Domconfig.parse sample) in
@@ -183,6 +234,102 @@ let host_deferral =
        QCheck.(int_bound 1_000_000)
        host_deferral_run)
 
+(* Any input: a located error, or a configuration that prints and parses
+   back exactly and builds.  Inputs are arbitrary bytes and the sample
+   configurations with values, characters and lines mutated. *)
+let located msg =
+  match String.index_opt msg ':' with
+  | Some i when i > 5 && String.sub msg 0 5 = "line " ->
+      String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub msg 5 (i - 5))
+  | _ -> false
+
+let same_config (a : Domconfig.t) (b : Domconfig.t) =
+  String.equal a.arch.Cpu_model.Arch.name b.arch.Cpu_model.Arch.name
+  && a.scheduler = b.scheduler && a.governor = b.governor
+  && Float.equal a.duration_s b.duration_s
+  && a.domains = b.domains
+
+let input_robust text =
+  (match Domconfig.parse text with
+  | exception e -> QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+  | Error msg -> if not (located msg) then QCheck.Test.fail_reportf "unlocated error %S" msg
+  | Ok cfg -> (
+      let printed = Format.asprintf "%a" Domconfig.pp_spec cfg in
+      (match Domconfig.parse printed with
+      | Ok again when same_config cfg again -> ()
+      | Ok _ -> QCheck.Test.fail_reportf "changes through pp_spec:\n%s" printed
+      | Error msg -> QCheck.Test.fail_reportf "printed form rejected (%s):\n%s" msg printed);
+      match Domconfig.build cfg with
+      | exception e -> QCheck.Test.fail_reportf "build raised %s" (Printexc.to_string e)
+      | _ -> ()));
+  true
+
+let gen_input =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        oneofl
+          [ "-1"; "0"; "-0"; "1e-9"; "1e-6"; "1e300"; "nan"; "inf"; "1e9"; "100.5"; "0x10";
+            "x"; ""; "true"; "pas"; "web"; "pi"; "busy" ];
+        map (Printf.sprintf "%.17g") (float_range 0.0 150.0);
+        map string_of_int (int_range (-2) 300);
+      ]
+  in
+  let keys =
+    [ "credit"; "weight"; "dom0"; "vcpus"; "workload"; "rate"; "from"; "until"; "timeout";
+      "request_work"; "work"; "duty"; "duration"; "scheduler"; "governor"; "name" ]
+  in
+  let mutate text =
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let* i = int_bound (n - 1) in
+    let line = lines.(i) in
+    let* edit =
+      oneof
+        [
+          (let* key = oneofl keys and* v = value in
+           return (line ^ " " ^ key ^ "=" ^ v));
+          (let* key = oneofl keys and* v = value in
+           let set tok = if String.starts_with ~prefix:(key ^ "=") tok then key ^ "=" ^ v else tok in
+           return (String.concat " " (List.map set (String.split_on_char ' ' line))));
+          (let* c = char and* j = int_bound (String.length line) in
+           let len = String.length line in
+           return (String.sub line 0 j ^ String.make 1 c ^ String.sub line j (len - j)));
+          (if line = "" then return line
+           else
+             let* j = int_bound (String.length line - 1) in
+             return (String.sub line 0 j ^ String.sub line (j + 1) (String.length line - j - 1)));
+          return (line ^ "\n" ^ line);
+          return "";
+        ]
+    in
+    lines.(i) <- edit;
+    return (String.concat "\n" (Array.to_list lines))
+  in
+  let rec mutations k text = if k = 0 then return text else mutate text >>= mutations (k - 1) in
+  let base =
+    oneofl
+      [
+        sample;
+        random_scenario 1;
+        Format.asprintf "%a" Domconfig.pp_spec
+          (Experiments.Scenario.config (Experiments.Scenario.spec ~scale:0.01 ()));
+      ]
+  in
+  oneof
+    [
+      string_size ~gen:char (int_bound 200);
+      (let* k = int_range 0 3 and* text = base in
+       mutations k text);
+    ]
+
+let input_robustness =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"any input: located error, or exact round trip and build"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_input)
+       input_robust)
+
 let () =
   Alcotest.run "domconfig"
     [
@@ -192,7 +339,10 @@ let () =
           Alcotest.test_case "defaults" `Quick parse_defaults;
           Alcotest.test_case "error cases" `Quick error_cases;
           Alcotest.test_case "error line numbers" `Quick error_line_numbers;
+          Alcotest.test_case "range errors" `Quick range_errors;
           Alcotest.test_case "pp roundtrip" `Quick roundtrip_pp;
+          Alcotest.test_case "scenario config" `Quick scenario_config;
+          input_robustness;
           Alcotest.test_case "parse_file missing" `Quick parse_file_missing;
         ] );
       ("build", [ Alcotest.test_case "build and run" `Quick build_and_run; host_deferral ]);

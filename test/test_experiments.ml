@@ -57,12 +57,47 @@ let scenario_phases () =
   check_bool "deficit non-negative" true (Scenario.sla_deficit r (Scenario.v20 r) >= 0.0)
 
 let scenario_pas_exposed () =
-  let r = Scenario.run (Scenario.spec ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor ~scale:0.01 ()) in
+  let r =
+    Scenario.run
+      (Scenario.spec ~sched:Domconfig.Pas_sched ~gov:Domconfig.No_governor ~scale:0.01 ())
+  in
   check_bool "pas instance" true (Scenario.pas r <> None)
 
 let scenario_invalid_scale () =
   Alcotest.check_raises "scale" (Invalid_argument "Scenario.spec: scale must be positive")
     (fun () -> ignore (Scenario.spec ~scale:0.0 ()))
+
+(* The profile subcommand runs the figures' code: under fig4's
+   configuration it prints fig4's phase table and measured notes. *)
+let cli_profile_matches_fig4 () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/experiments_main.exe"
+  in
+  let output args =
+    let out = Filename.temp_file "experiments" ".txt" in
+    let code = Sys.command (Filename.quote_command exe args ~stdout:out) in
+    check_int (String.concat " " args) 0 code;
+    let text = In_channel.with_open_text out In_channel.input_all in
+    Sys.remove out;
+    String.split_on_char '\n' text
+  in
+  (* the summary table runs from below the title line to the first blank *)
+  let rec upto_blank = function "" :: _ | [] -> [] | l :: rest -> l :: upto_blank rest in
+  let table lines = upto_blank (List.tl lines) in
+  let notes lines = List.filter (String.starts_with ~prefix:"note: ") lines in
+  let fig4 = output [ "run"; "fig4"; "--scale"; "0.1" ] in
+  let profile =
+    output [ "profile"; "-s"; "credit"; "-g"; "stable"; "-l"; "exact"; "--scale"; "0.1" ]
+  in
+  check_bool "a phase table" true (List.length (table profile) > 5);
+  Alcotest.(check (list string)) "same phase table" (table fig4) (table profile);
+  (* fig4's notes are its paper expectations, then the measured ones *)
+  let measured = notes profile in
+  let skip = List.length (notes fig4) - List.length measured in
+  check_bool "measured notes" true (measured <> [] && skip > 0);
+  Alcotest.(check (list string))
+    "same measured notes" measured
+    (List.filteri (fun i _ -> i >= skip) (notes fig4))
 
 (* ------------------------------------------------------------------ *)
 (* Registry and outputs *)
@@ -197,6 +232,7 @@ let () =
           Alcotest.test_case "phases" `Quick scenario_phases;
           Alcotest.test_case "pas exposed" `Quick scenario_pas_exposed;
           Alcotest.test_case "invalid scale" `Quick scenario_invalid_scale;
+          Alcotest.test_case "profile command matches fig4" `Quick cli_profile_matches_fig4;
         ] );
       ( "registry",
         [

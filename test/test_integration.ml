@@ -14,7 +14,7 @@ let mean r phase series = Scenario.phase_mean r phase series
 (* Fig. 2: the reference profile — both VMs reach their plateaus at maximum
    frequency. *)
 let fig2_reference_profile () =
-  let r = Scenario.run (Scenario.spec ~gov:Scenario.Performance ~scale ()) in
+  let r = Scenario.run (Scenario.spec ~gov:Domconfig.Performance ~scale ()) in
   check_float_eps 1.0 "V20 plateau" 20.0 (mean r Scenario.A (Scenario.v20_load r));
   check_float_eps 1.5 "V70 plateau" 70.0 (mean r Scenario.B (Scenario.v70_load r));
   check_float_eps 1.0 "frequency pinned" 2667.0 (mean r Scenario.A (Scenario.frequency r))
@@ -22,8 +22,8 @@ let fig2_reference_profile () =
 (* Fig. 3 vs Fig. 4: the stock ondemand governor oscillates; the authors'
    stable governor does not. *)
 let fig3_fig4_oscillation_contrast () =
-  let stock = Scenario.run (Scenario.spec ~gov:Scenario.Stock_ondemand ~scale ()) in
-  let stable = Scenario.run (Scenario.spec ~gov:Scenario.Stable_ondemand ~scale ()) in
+  let stock = Scenario.run (Scenario.spec ~gov:Domconfig.Ondemand ~scale ()) in
+  let stable = Scenario.run (Scenario.spec ~gov:Domconfig.Stable ~scale ()) in
   let transitions r =
     Cpu_model.Cpufreq.transitions
       (Cpu_model.Processor.cpufreq (Host.processor (Scenario.host r)))
@@ -35,7 +35,7 @@ let fig3_fig4_oscillation_contrast () =
 (* Fig. 5: under the fix-credit scheduler the lazy V70 drags the frequency
    down and V20 only receives ~12% absolute capacity instead of 20%. *)
 let fig5_fix_credit_penalises_v20 () =
-  let r = Scenario.run (Scenario.spec ~gov:Scenario.Stable_ondemand ~scale ()) in
+  let r = Scenario.run (Scenario.spec ~gov:Domconfig.Stable ~scale ()) in
   check_float_eps 1.0 "phase A: penalised (paper ~10-12%)" 12.0
     (mean r Scenario.A (Scenario.v20_absolute r));
   check_float_eps 1.0 "phase B: recovered at max frequency" 20.0
@@ -46,7 +46,7 @@ let fig5_fix_credit_penalises_v20 () =
 (* Fig. 6/7: SEDF gives V20 the unused slices (~33-35% global) and thereby
    preserves its 20% absolute capacity under an exact load. *)
 let fig6_fig7_sedf_exact () =
-  let r = Scenario.run (Scenario.spec ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand ~scale ()) in
+  let r = Scenario.run (Scenario.spec ~sched:Domconfig.Sedf ~gov:Domconfig.Stable ~scale ()) in
   check_float_eps 1.5 "global ~33-35%" 33.3 (mean r Scenario.A (Scenario.v20_load r));
   check_float_eps 1.0 "absolute preserved" 20.0 (mean r Scenario.A (Scenario.v20_absolute r));
   check_float_eps 1.0 "back to 20% in phase B" 20.0 (mean r Scenario.B (Scenario.v20_load r))
@@ -56,7 +56,7 @@ let fig6_fig7_sedf_exact () =
 let fig8_sedf_thrashing () =
   let r =
     Scenario.run
-      (Scenario.spec ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand
+      (Scenario.spec ~sched:Domconfig.Sedf ~gov:Domconfig.Stable
          ~load:Scenario.Thrashing ~scale ())
   in
   check_bool "V20 devours the host" true (mean r Scenario.A (Scenario.v20_load r) > 80.0);
@@ -67,7 +67,7 @@ let fig8_sedf_thrashing () =
 let fig9_fig10_pas_thrashing () =
   let r =
     Scenario.run
-      (Scenario.spec ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor
+      (Scenario.spec ~sched:Domconfig.Pas_sched ~gov:Domconfig.No_governor
          ~load:Scenario.Thrashing ~scale ())
   in
   check_float_eps 1.0 "33% compensated credit" 33.3 (mean r Scenario.A (Scenario.v20_load r));
@@ -83,17 +83,17 @@ let fig9_fig10_pas_thrashing () =
 let pas_energy_and_sla () =
   let sedf =
     Scenario.run
-      (Scenario.spec ~sched:Scenario.Sedf ~gov:Scenario.Stable_ondemand
+      (Scenario.spec ~sched:Domconfig.Sedf ~gov:Domconfig.Stable
          ~load:Scenario.Thrashing ~scale ())
   in
   let pas =
     Scenario.run
-      (Scenario.spec ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor
+      (Scenario.spec ~sched:Domconfig.Pas_sched ~gov:Domconfig.No_governor
          ~load:Scenario.Thrashing ~scale ())
   in
   let credit =
     Scenario.run
-      (Scenario.spec ~sched:Scenario.Credit ~gov:Scenario.Stable_ondemand
+      (Scenario.spec ~sched:Domconfig.Credit ~gov:Domconfig.Stable
          ~load:Scenario.Thrashing ~scale ())
   in
   let energy r = Host.energy_joules (Scenario.host r) in

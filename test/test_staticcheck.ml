@@ -382,6 +382,19 @@ let test_alloc_unknown_callee () =
       check_int "at the call site" 2 i.Report.line;
       check_bool "names the callee" true (contains i.Report.message "Mystery.frob")
   | _ -> Alcotest.fail "expected exactly one issue");
+  (* an unresolved bare name is a builtin, free only when listed *)
+  let issues =
+    analyze
+      "let hot2 s = float_of_string s\n(* alloc: none *)\nlet hot3 s = hot2 s +. 1.0\n"
+  in
+  Alcotest.(check (list string)) "unlisted builtin reached through a helper"
+    [ "alloc-unknown-callee" ] (rules issues);
+  (match issues with
+  | [ i ] ->
+      check_int "at the builtin's call" 1 i.Report.line;
+      check_bool "chain walks hot3 → hot2" true (contains i.Report.message "Fake.hot3 → Fake.hot2");
+      check_bool "names the builtin" true (contains i.Report.message "float_of_string")
+  | _ -> Alcotest.fail "expected exactly one issue");
   check_rules "dispatch through a contract field is allowed" []
     "(* alloc: none *)\nlet hot t = t.charge 1\n";
   check_rules "dispatch through a non-contract field is unknown"
@@ -437,7 +450,21 @@ let test_alloc_local_scope () =
     "let step x = Some x\n(* alloc: none *)\nlet hot step x = step x\n";
   check_rules "the top-level binding is still reached when not shadowed"
     [ "alloc-in-hot-path" ]
-    "let levels t = Array.copy t\n(* alloc: none *)\nlet hot lv = Array.length (levels lv)\n"
+    "let levels t = Array.copy t\n(* alloc: none *)\nlet hot lv = Array.length (levels lv)\n";
+  check_rules "a bare name inside a nested module reaches its sibling"
+    [ "alloc-in-hot-path" ]
+    "module M = struct\n\
+    \  let build x = Some x\n\
+    \  (* alloc: none *)\n\
+    \  let hot x = build x\n\
+     end\n";
+  check_rules "an enclosing module's binding is reached from a nested one"
+    [ "alloc-in-hot-path" ]
+    "let build x = Some x\n\
+     module M = struct\n\
+    \  (* alloc: none *)\n\
+    \  let hot x = build x\n\
+     end\n"
 
 let test_alloc_waiver () =
   check_rules "waiver on the allocating line applies" []
@@ -1039,6 +1066,40 @@ let test_driver_exit_code () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A root is analyzed whatever its name: [.] (and [dir/.]) walk the tree,
+   while dot-directories met inside it are still skipped. *)
+let test_driver_dot_root () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/analyze_main.exe"
+  in
+  let dir = Filename.temp_file "dotroot" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let hidden = Filename.concat dir ".hidden" and sub = Filename.concat dir "pe" in
+  Sys.mkdir hidden 0o755;
+  Sys.mkdir sub 0o755;
+  let write path content = Out_channel.with_open_text path (fun oc -> output_string oc content) in
+  let run root =
+    Sys.command (Filename.quote_command exe [ root ] ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  write (Filename.concat hidden "bad.ml") "let bad x = x = 1.0\n";
+  check_int "a dot-directory inside the root is skipped" 0 (run (Filename.concat dir "."));
+  write (Filename.concat sub "bad.ml") "let bad x = x = 1.0\n";
+  check_int "the subdirectory root finds the planted file" 1 (run sub);
+  check_int "the dot root finds it too" 1 (run (Filename.concat dir "."));
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  let files = Report.collect_sources [ "." ] in
+  Sys.chdir cwd;
+  Alcotest.(check (list string)) "[.] collects the tree, not the dot-directory"
+    [ Filename.concat (Filename.concat "." "pe") "bad.ml" ] files;
+  List.iter
+    (fun d ->
+      Sys.remove (Filename.concat d "bad.ml");
+      Sys.rmdir d)
+    [ hidden; sub ];
+  Sys.rmdir dir
+
 (* The zero-alloc prover end to end through the driver: a planted
    hot-path allocation fails the build with the chain in the SARIF
    message, the report is byte-identical across repeated runs and every
@@ -1192,6 +1253,7 @@ let () =
           Alcotest.test_case "baseline diff" `Quick test_sarif_baseline_diff;
           Alcotest.test_case "explain coverage" `Quick test_explain_coverage;
           Alcotest.test_case "driver exit code" `Quick test_driver_exit_code;
+          Alcotest.test_case "driver dot root" `Quick test_driver_dot_root;
           Alcotest.test_case "committed baseline is empty" `Quick test_baseline_is_empty;
         ] );
     ]
