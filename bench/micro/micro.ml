@@ -22,7 +22,6 @@ module Processor = Cpu_model.Processor
 module Sim_time = Sim_engine.Sim_time
 module Simulator = Sim_engine.Simulator
 module Series = Sim_engine.Series
-module Calendar = Sim_engine.Calendar
 module Open_loop = Workloads.Open_loop
 
 type result = { name : string; ops : int; ns_per_op : float; words_per_op : float }
@@ -155,23 +154,52 @@ let bench_smp_sample_tick () =
     ~reset:(fun () -> Smp_host.Internal.reset_series host)
     (fun () -> Smp_host.Internal.sample host ())
 
-(* Steady-state wheel traffic: every op pushes at a cursor that advances 16
-   key units and pops the minimum, so occupancy, bucket spread, and heap
-   capacities are all constant after warm-up — any words/op left is a real
-   per-op allocation in the push/pop paths. *)
-let bench_calendar name () =
-  let cal = Calendar.create ~key:(fun x -> x) ~cmp:Int.compare in
-  let cursor = ref 0 in
-  for _ = 1 to 1024 do
-    Calendar.push cal (!cursor * 16);
-    incr cursor
+(* A 16-node cluster's queue, with room to spare: 80 periodic chains at
+   the host periods (1 ms dispatch, 30 ms accounting, 100 ms window, 1 s
+   sampling, 4 s governor), so each op pops the earliest event and
+   re-arms it one period on.  The heap reaches its steady capacity when
+   the chains are armed; any words/op left is a real per-op allocation in
+   the push/pop paths. *)
+let bench_sim_heap name () =
+  let sim = Simulator.create () in
+  let periods = [| 1; 30; 100; 1_000; 4_000 |] in
+  for i = 0 to 79 do
+    ignore
+      (Simulator.every sim
+         ~start:(Sim_time.of_us (1 + i))
+         (Sim_time.of_ms periods.(i mod 5))
+         (fun () -> ()))
   done;
-  (* The warm-up must lap the whole wheel (256 buckets x 64 ops per bucket)
-     so every slot's heap reaches its steady capacity before measuring. *)
-  measure ~name ~ops:100_000 ~warmup:40_000 (fun () ->
-      Calendar.push cal (!cursor * 16);
-      incr cursor;
-      ignore (Calendar.pop_exn cal))
+  measure ~name ~ops:200_000 ~warmup:20_000 (fun () -> ignore (Simulator.step sim))
+
+(* Parse and build of one dense-pas host configuration: Dom0 and 24
+   guests (web, pi and idle) under PAS.  A set-up figure measured in a
+   fresh loop, unlike a whole-run set-up time taken after a simulation
+   has grown the heap. *)
+let dense_config =
+  let guest i =
+    let credit = 2 + (i mod 3) in
+    let rate = float_of_int credit /. 100.0 in
+    let workload =
+      if i < 4 then Printf.sprintf "web rate=%g from=%d until=%d" rate (5 + i) (60 + i)
+      else if i < 8 then Printf.sprintf "web rate=%g from=%d until=%d" (rate *. 3.0) i (50 + i)
+      else if i < 14 then
+        Printf.sprintf "pi work=%g duty=%g" (rate *. 90.0) (0.3 +. (0.1 *. float_of_int (i - 8)))
+      else if i < 20 then "idle"
+      else Printf.sprintf "web rate=%g" (rate *. 2.5)
+    in
+    Printf.sprintf "domain name=G%02d credit=%d workload=%s\n" i credit workload
+  in
+  String.concat ""
+    ("host arch=optiplex-755 scheduler=pas governor=none duration=90\n\
+      domain name=Dom0 credit=10 dom0=true workload=idle\n"
+    :: List.init 24 guest)
+
+let bench_domconfig_dense () =
+  measure ~name:"setup/domconfig-dense" ~ops:2_000 ~warmup:200 (fun () ->
+      match Domconfig.parse dense_config with
+      | Ok cfg -> ignore (Domconfig.build cfg)
+      | Error e -> failwith e)
 
 let bench_series_add_cell () =
   let s = Series.create ~name:"bench" in
@@ -412,8 +440,8 @@ let all_benches =
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
-    bench_calendar "calendar/push";
-    bench_calendar "calendar/pop";
+    bench_sim_heap "sim/heap-push";
+    bench_sim_heap "sim/heap-pop";
     bench_series_add_cell;
     bench_openloop_step;
     bench_credit_pick;
@@ -429,6 +457,7 @@ let all_benches =
     bench_governor "governor/stable-ondemand" (fun p -> Governors.Stable_ondemand.create p);
     bench_governor "governor/conservative" (fun p -> Governors.Conservative.create p);
     bench_frame_csv;
+    bench_domconfig_dense;
   ]
 
 (* Paths whose steady state must not allocate, each tied to the statically
@@ -446,8 +475,8 @@ let zero_alloc_roots =
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");
-    ("calendar/push", "Calendar.push");
-    ("calendar/pop", "Calendar.pop_exn");
+    ("sim/heap-push", "Simulator.push");
+    ("sim/heap-pop", "Simulator.pop");
     ("series/add-cell", "Series.add_cell");
     ("openloop/step", "Open_loop.step");
     ("credit/pick", "Sched_credit.pick");

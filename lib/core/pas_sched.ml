@@ -120,7 +120,7 @@ let evaluate t ~now ~busy_fraction =
   for i = 0 to t.filled - 1 do
     sum := !sum +. t.window.(i)
   done;
-  let global_load = !sum /. float_of_int (max 1 t.filled) *. 100.0 in
+  let global_load = !sum /. float_of_int (Int.max 1 t.filled) *. 100.0 in
   let absolute_load =
     global_load *. Processor.ratio t.processor *. Processor.cf t.processor
   in

@@ -51,11 +51,11 @@ let closest t f = closest_from t.levels f t.levels.(0) 0
 
 let next_up t f =
   let i = index_of t f in
-  t.levels.(min (i + 1) (Array.length t.levels - 1))
+  t.levels.(Int.min (i + 1) (Array.length t.levels - 1))
 
 let next_down t f =
   let i = index_of t f in
-  t.levels.(max (i - 1) 0)
+  t.levels.(Int.max (i - 1) 0)
 
 let pp ppf t =
   Format.fprintf ppf "{%a} MHz"

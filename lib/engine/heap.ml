@@ -47,12 +47,6 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
-let top_exn h =
-  if h.size = 0 then invalid_arg "Heap.top_exn: empty heap";
-  h.data.(0)
-
-(* The event queue pops once per simulated event, so this path must not
-   allocate: [pop] wraps it in an option for callers that prefer one. *)
 let pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
   let top = h.data.(0) in
@@ -68,20 +62,6 @@ let pop h = if h.size = 0 then None else Some (pop_exn h)
 let clear h =
   h.data <- [||];
   h.size <- 0
-
-let filter_in_place h pred =
-  let kept = ref 0 in
-  for i = 0 to h.size - 1 do
-    if pred h.data.(i) then begin
-      h.data.(!kept) <- h.data.(i);
-      incr kept
-    end
-  done;
-  h.size <- !kept;
-  (* Bottom-up heapify restores the invariant in O(n). *)
-  for i = (h.size / 2) - 1 downto 0 do
-    sift_down h i
-  done
 
 let to_list h = Array.to_list (Array.sub h.data 0 h.size)
 

@@ -1,8 +1,6 @@
 (** Imperative binary min-heap.
 
-    The priority order is given at creation time by a comparison function.
-    Used by the event queue; exposed because it is independently useful (the
-    SEDF scheduler keeps an EDF heap of runnable domains). *)
+    The priority order is given at creation time by a comparison function. *)
 
 type 'a t
 
@@ -17,10 +15,6 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 
-val top_exn : 'a t -> 'a
-(** Smallest element without removing it; allocation-free.
-    @raise Invalid_argument on an empty heap. *)
-
 val pop : 'a t -> 'a option
 (** Removes and returns the smallest element. *)
 
@@ -28,11 +22,6 @@ val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
-
-val filter_in_place : 'a t -> ('a -> bool) -> unit
-(** Keeps only the elements satisfying the predicate and restores the heap
-    invariant, in O(n); used by the event queue to compact cancelled
-    events. *)
 
 val to_list : 'a t -> 'a list
 (** Elements in unspecified order; does not modify the heap. *)

@@ -27,8 +27,8 @@ let ( + ) = add
 let ( - ) = sub
 let compare = Int.compare
 let equal = Int.equal
-let min = Stdlib.min
-let max = Stdlib.max
+let[@inline] min (a : t) b = if a <= b then a else b
+let[@inline] max (a : t) b = if a >= b then a else b
 
 let pp ppf t =
   if t >= 1_000_000 then Format.fprintf ppf "%.3fs" (to_sec t)

@@ -1,17 +1,23 @@
+(* A periodic event is one record re-armed after each firing, so one
+   handle controls the whole chain; [period] is 0 for a one-shot. *)
 type event = {
   mutable time : Sim_time.t;
   mutable seq : int;
-  mutable action : unit -> unit;
+  action : unit -> unit;
+  period : Sim_time.t;
   mutable cancelled : bool;
   mutable queued : bool; (* currently sitting in the queue *)
 }
 
 type handle = event
 
+(* A binary min-heap of events in [heap.(0 .. size - 1)], ordered by
+   (time, seq); the slots past [size] are never read. *)
 type t = {
   mutable clock : Sim_time.t;
   mutable next_seq : int;
-  queue : event Calendar.t;
+  mutable heap : event array;
+  mutable size : int;
   mutable dead : int; (* cancelled events still occupying queue slots *)
 }
 
@@ -19,20 +25,7 @@ let inv_monotonic =
   Analysis.Invariant.register "sim.monotonic-time"
     ~doc:"the event queue never dispatches an event scheduled before the clock"
 
-let cmp_event a b =
-  let c = Sim_time.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let event_key ev = Sim_time.to_us ev.time
-
-let create () =
-  {
-    clock = Sim_time.zero;
-    next_seq = 0;
-    queue = Calendar.create ~key:event_key ~cmp:cmp_event;
-    dead = 0;
-  }
-
+let create () = { clock = Sim_time.zero; next_seq = 0; heap = [||]; size = 0; dead = 0 }
 let now t = t.clock
 
 let fresh_seq t =
@@ -40,11 +33,58 @@ let fresh_seq t =
   t.next_seq <- s + 1;
   s
 
+(* [Sim_time.t] is the int microsecond count: inline int compares. *)
+let[@inline always] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+(* Capacity doubling runs O(log n) times over a simulator's life. *)
+(* alloc: cold *)
+let[@inline never] grow t ev =
+  let bigger = Array.make (Int.max 16 (2 * t.size)) ev in
+  Array.blit t.heap 0 bigger 0 t.size;
+  t.heap <- bigger
+
+(* Hole-based sifts: the moving event is written once, at its final slot. *)
+let rec sift_up h ev i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before ev h.(parent) then begin
+    h.(i) <- h.(parent);
+    sift_up h ev parent
+  end
+  else h.(i) <- ev
+
+let rec sift_down h size ev i =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < size && before h.(l + 1) h.(l) then l + 1 else l in
+  if c < size && before h.(c) ev then begin
+    h.(i) <- h.(c);
+    sift_down h size ev c
+  end
+  else h.(i) <- ev
+
+(* alloc: none *)
+let push t ev =
+  if t.size = Array.length t.heap then grow t ev;
+  ev.queued <- true;
+  t.size <- t.size + 1;
+  sift_up t.heap ev (t.size - 1)
+
+(* The earliest event; the queue must not be empty. *)
+(* alloc: none *)
+let pop t =
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t.heap t.size t.heap.(t.size) 0;
+  top.queued <- false;
+  top
+
+let schedule t time period action =
+  let ev = { time; seq = fresh_seq t; action; period; cancelled = false; queued = false } in
+  push t ev;
+  ev
+
 let at t time action =
   if Sim_time.compare time t.clock < 0 then invalid_arg "Simulator.at: time is in the past";
-  let ev = { time; seq = fresh_seq t; action; cancelled = false; queued = true } in
-  Calendar.push t.queue ev;
-  ev
+  schedule t time Sim_time.zero action
 
 let after t delay action = at t (Sim_time.add t.clock delay) action
 
@@ -52,54 +92,35 @@ let every t ?start period action =
   if Sim_time.equal period Sim_time.zero then invalid_arg "Simulator.every: zero period";
   let start = match start with Some s -> s | None -> Sim_time.add t.clock period in
   if Sim_time.compare start t.clock < 0 then invalid_arg "Simulator.every: start is in the past";
-  let cell = { time = start; seq = fresh_seq t; action = ignore; cancelled = false; queued = true } in
-  (* One record is re-armed for every firing so a single handle controls the
-     whole periodic chain.  The closure is allocated once here; the re-arm
-     itself only mutates the cell and re-pushes it. *)
-  cell.action <-
-    (fun () ->
-      action ();
-      if not cell.cancelled then begin
-        cell.time <- Sim_time.add t.clock period;
-        cell.seq <- fresh_seq t;
-        cell.queued <- true;
-        Calendar.push t.queue cell
-      end);
-  Calendar.push t.queue cell;
-  cell
+  schedule t start period action
 
 (* Rebuild the queue without its cancelled entries once they dominate; keeps
    [pending] exact and stops long-lived simulations from dragging a tail of
    dead events through every pop. *)
 let compact t =
-  Calendar.filter_in_place t.queue (fun ev ->
-      if ev.cancelled then begin
-        ev.queued <- false;
-        false
-      end
-      else true);
-  t.dead <- 0
+  let events = Array.sub t.heap 0 t.size in
+  t.size <- 0;
+  t.dead <- 0;
+  Array.iter (fun ev -> if ev.cancelled then ev.queued <- false else push t ev) events
 
 let cancel t handle =
   if not handle.cancelled then begin
     handle.cancelled <- true;
     if handle.queued then begin
       t.dead <- t.dead + 1;
-      if t.dead > 64 && 2 * t.dead > Calendar.length t.queue then compact t
+      if t.dead > 64 && 2 * t.dead > t.size then compact t
     end
   end
 
-let pending t = Calendar.length t.queue - t.dead
+let pending t = t.size - t.dead
 
+(* A periodic event is re-armed after its action, with the seq it takes
+   then: whatever the action queued at the re-arm instant fires first. *)
 let step t =
-  if Calendar.is_empty t.queue then false
+  if t.size = 0 then false
   else begin
-    let ev = Calendar.pop_exn t.queue in
-    ev.queued <- false;
-    if ev.cancelled then begin
-      t.dead <- t.dead - 1;
-      true
-    end
+    let ev = pop t in
+    if ev.cancelled then t.dead <- t.dead - 1
     else begin
       if Analysis.Config.enabled () then
         Analysis.Check.run inv_monotonic ~time_s:(Sim_time.to_sec t.clock)
@@ -107,18 +128,20 @@ let step t =
           ~detail:(fun () ->
             Printf.sprintf "event scheduled at %s popped with clock at %s"
               (Sim_time.to_string ev.time) (Sim_time.to_string t.clock))
-          (Sim_time.compare ev.time t.clock >= 0);
+          (ev.time >= t.clock);
       t.clock <- Sim_time.max t.clock ev.time;
       ev.action ();
-      true
-    end
+      if ev.period > 0 && not ev.cancelled then begin
+        ev.time <- t.clock + ev.period;
+        ev.seq <- fresh_seq t;
+        push t ev
+      end
+    end;
+    true
   end
 
 let run_until t t_end =
-  (* [next_key] is [max_int] on an empty queue, so the comparison doubles as
-     the emptiness test; nothing in this loop allocates. *)
-  let t_end_key = Sim_time.to_us t_end in
-  while Calendar.next_key t.queue <= t_end_key do
+  while t.size > 0 && t.heap.(0).time <= t_end do
     ignore (step t)
   done;
   t.clock <- Sim_time.max t.clock t_end

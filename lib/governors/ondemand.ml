@@ -10,7 +10,7 @@ type t = {
 }
 
 let clamp t f =
-  match t.floor with None -> f | Some fl -> max f (Frequency.closest t.table fl)
+  match t.floor with None -> f | Some fl -> Int.max f (Frequency.closest t.table fl)
 
 (* alloc: none *)
 let observe t ~now ~busy_fraction =

@@ -23,7 +23,7 @@ let observe t ~now ~busy_fraction =
   for i = 0 to t.filled - 1 do
     sum := !sum +. t.window.(i)
   done;
-  let mean_util = !sum /. float_of_int (max 1 t.filled) in
+  let mean_util = !sum /. float_of_int (Int.max 1 t.filled) in
   t.load.value <- mean_util *. Processor.speed t.processor;
   let desired =
     Processor.lowest_sufficient t.processor ~threshold:t.up_threshold ~absolute_load:t.load

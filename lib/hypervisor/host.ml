@@ -37,6 +37,9 @@ type t = {
   absolute_series : Series.t;
   domain_metrics : domain_metrics array;
   advancing : Workloads.Workload.t array; (* see {!Domain.advancing} *)
+  mutable last_tick : Sim_time.t; (* the last dispatch tick's instant; -1 before any *)
+  mutable last_loop : Sim_time.t; (* the last tick that advanced [advancing]; -1 before any *)
+  mutable next_due : Sim_time.t; (* no advancing workload is due before this tick *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
   scratch : Series.cell; (* box-free sample hand-off, reused every sample *)
   mutable probe_last_busy : Sim_time.t; (* shared window/governor probe state *)
@@ -99,10 +102,15 @@ let rec tick_loop t ~current ~speed ~remaining ~busy =
           tick_loop t ~current ~speed ~remaining ~busy
         end
         else begin
-          let used =
-            Workloads.Workload.execute (Domain.workload domain) ~now:current
-              ~cpu_time:offered ~speed
-          in
+          (* The workload sees every tick this host skipped, then the
+             execute, which may pull its due tick earlier. *)
+          let w = Domain.workload domain in
+          if t.last_loop < current then
+            Workloads.Workload.defer_through w ~from:t.last_loop ~now:current
+              ~dt:t.config.quantum;
+          let used = Workloads.Workload.execute w ~now:current ~cpu_time:offered ~speed in
+          let due = Workloads.Workload.due_at w in
+          if due < t.next_due then t.next_due <- due;
           (* A domain that consumes less than it is offered has drained its
              demand and sits out the rest of the tick (also the safety net
              against zero-length-progress livelock). *)
@@ -127,16 +135,42 @@ let[@inline never] check_tick_util ~current ~util =
     Analysis.Check.fail inv_tick_util ~time_s:(Sim_time.to_sec current) ~component:"host"
       (Printf.sprintf "tick utilization = %.9g outside [0, 1]" util)
 
+(* Credit every advancing workload with the ticks this host skipped since
+   its last full loop, through [last_tick]: ticks each workload's own
+   [advance] would have deferred. *)
+let credit_skipped t =
+  if t.last_loop < t.last_tick then
+    for i = 0 to Array.length t.advancing - 1 do
+      Workloads.Workload.defer_through t.advancing.(i) ~from:t.last_loop ~now:t.last_tick
+        ~dt:t.config.quantum
+    done
+
+(* The full loop: advance every workload, after crediting the skipped
+   ticks; [next_due] becomes the earliest due tick among them. *)
+let advance_all t ~current ~quantum =
+  credit_skipped t;
+  let next_due = ref Workloads.Workload.never in
+  for i = 0 to Array.length t.advancing - 1 do
+    let w = t.advancing.(i) in
+    Workloads.Workload.advance w ~now:current ~dt:quantum;
+    let due = Workloads.Workload.due_at w in
+    if due < !next_due then next_due := due
+  done;
+  t.next_due <- !next_due;
+  t.last_loop <- current
+
 (* One dispatch tick: advance workloads, then hand out the tick to domains
-   as the scheduler directs. *)
+   as the scheduler directs.  A tick that directly follows the last one and
+   precedes every workload's due tick would only be deferred by each
+   [advance], so the loop is skipped and the ticks are credited later. *)
 (* alloc: none *)
 let dispatch_tick t () =
   let current = now t in
   let quantum = t.config.quantum in
   let speed = Processor.speed t.processor in
-  for i = 0 to Array.length t.advancing - 1 do
-    Workloads.Workload.advance t.advancing.(i) ~now:current ~dt:quantum
-  done;
+  if not (current = t.last_tick + quantum && current < t.next_due) then
+    advance_all t ~current ~quantum;
+  t.last_tick <- current;
   Scheduler.Mask.clear t.exclude;
   let busy = tick_loop t ~current ~speed ~remaining:quantum ~busy:Sim_time.zero in
   t.total_busy <- Sim_time.add t.total_busy busy;
@@ -216,6 +250,9 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
       absolute_series = Series.create ~name:"absolute_load";
       domain_metrics;
       advancing = Domain.advancing (Array.to_list doms);
+      last_tick = -1;
+      last_loop = -1;
+      next_due = Sim_time.zero;
       exclude = Scheduler.Mask.create ();
       scratch = Series.cell ();
       probe_last_busy = Sim_time.zero;
@@ -249,9 +286,12 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
 
 let run_for t duration = Simulator.run_until t.sim (Sim_time.add (now t) duration)
 
+(* The skipped ticks are credited so that a workload moving to another
+   host carries its deferred run there. *)
 let stop t =
   List.iter (Simulator.cancel t.sim) t.handles;
-  t.handles <- []
+  t.handles <- [];
+  credit_skipped t
 
 let series_frequency t = t.freq_series
 let series_global_load t = t.global_series

@@ -3,9 +3,15 @@
 
     On every dispatch tick (default 1 ms) the host advances all workloads,
     then repeatedly asks the scheduler whom to run until the tick is spent
-    or nobody runnable remains.  Every accounting period (Xen: 30 ms) the
-    scheduler refreshes its credit state.  Utilization windows are delivered
-    to the governor and/or the scheduler's own DVFS observer (PAS).
+    or nobody runnable remains.  A tick that directly follows the previous
+    one and comes before every workload's {!Workloads.Workload.due_at}
+    would only be deferred by each workload, so the host makes no
+    [advance] call on it; it credits such ticks with
+    {!Workloads.Workload.defer_through} before it executes a workload, at
+    its next full advance loop, and in {!stop}.  Every accounting period
+    (Xen: 30 ms) the scheduler refreshes its credit state.  Utilization
+    windows are delivered to the governor and/or the scheduler's own DVFS
+    observer (PAS).
 
     Metrics follow the paper's §4 definitions:
     - {e VM global load} — the domain's contribution to processor load
@@ -48,7 +54,9 @@ val run_for : t -> Sim_time.t -> unit
 val stop : t -> unit
 (** Cancels the host's periodic events; the host stops dispatching and
     sampling.  Used when a cluster manager decommissions or rebuilds a
-    node mid-simulation. *)
+    node mid-simulation.  The ticks the host skipped are credited to its
+    workloads first, so a workload driven on by another host continues
+    its deferred run there. *)
 
 val now : t -> Sim_time.t
 

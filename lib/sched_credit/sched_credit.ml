@@ -18,6 +18,8 @@ type credit_cell = {
 
 type dom_state = {
   domain : Domain.t;
+  word : int; (* static: the domain's word in the dispatch bitsets ... *)
+  bit : int; (* ... and its bit there *)
   workload : Workload.t; (* the domain's, fixed at creation *)
   polled : bool; (* static: no [~defer], so [has_work] may change at any time *)
   mutable seen : int; (* workload version at the last wake detection *)
@@ -27,11 +29,13 @@ type dom_state = {
   mutable full_quota : Sim_time.t; (* quota of [effective_credit] over a whole period *)
   mutable quota : Sim_time.t; (* CPU time left this accounting period *)
   mutable was_runnable : bool; (* runnable at the last wake detection *)
-  mutable boosted : bool; (* woke recently: dispatched ahead of the pack *)
   cell : Scheduler.slice; (* reusable dispatch decision, one per domain *)
   cell_opt : Scheduler.slice option; (* [Some cell], preallocated *)
 }
 
+(* The dispatch sets are bitsets over domain indices, [word_bits] to an
+   int so every word stays non-negative; a host with more domains uses
+   more words. *)
 type t = {
   account_period : Sim_time.t;
   host_capacity : int; (* physical cores: quotas are % of the whole host *)
@@ -39,13 +43,19 @@ type t = {
   doms : dom_state array;
   dom0 : int array; (* indices of the capped dom0 domains, ascending *)
   live : int array; (* indices of the domains that may ever be runnable *)
-  has_uncapped : bool;
-  mutable boosted_count : int; (* domains whose [boosted] flag is set *)
+  any_polled : bool; (* static: some live domain's workload is polled *)
+  changes : Workload.counter; (* every deferring workload's, see {!Workload.use_counter} *)
+  mutable changes_seen : int; (* [changes] at the last full wake detection *)
+  ready : int array; (* capped guest, runnable and holding quota *)
+  boosted : int array; (* woke recently: dispatched ahead of the pack *)
+  uncapped_ready : int array; (* uncapped and runnable *)
   mutable last_pick : int; (* index [pick] last returned; -1 before any *)
   mutable rr : int; (* round-robin pointer over capped domains *)
   mutable rr_uncapped : int;
   mutable rr_boost : int;
 }
+
+let word_bits = 62
 
 (* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f] ([to_us] and
    [of_us] are the identity on the int representation, so the results are
@@ -71,38 +81,54 @@ let state t d =
   if i < 0 then invalid_arg "Sched_credit: unknown domain";
   t.doms.(i)
 
-(* Wake detection: a domain that just became runnable gets BOOST priority
-   (Xen's latency fix for I/O-bound domains) until its next dispatch.
-   This is the one pass per pick that asks the workloads: the scans below
-   read the [was_runnable] it stores.  Domains that can never run keep
-   [was_runnable = false] from creation, so they are not asked.  Nor is a
-   deferring workload whose version has not moved since it was last asked:
-   its [has_work] cannot have changed (see {!Workload.version}), and
-   asking again would leave every flag as it is. *)
-let detect_wakes t =
-  for k = 0 to Array.length t.live - 1 do
-    let st = t.doms.(t.live.(k)) in
-    let version = Workload.version st.workload in
-    if st.polled || version <> st.seen then begin
-      st.seen <- version;
-      let runnable = Workload.has_work st.workload in
-      if t.boost && runnable && (not st.was_runnable) && not st.boosted then begin
-        st.boosted <- true;
-        t.boosted_count <- t.boosted_count + 1
-      end;
-      st.was_runnable <- runnable
-    end
-  done
+let[@inline always] mem bits st = bits.(st.word) land st.bit <> 0
 
-(* A capped domain is eligible when runnable, not excluded and holding
-   quota; an uncapped one merely needs to be runnable and not excluded. *)
+let[@inline always] put bits st on =
+  let w = st.word in
+  bits.(w) <- (if on then bits.(w) lor st.bit else bits.(w) land lnot st.bit)
+
+(* [ready] follows the state it is defined by: [charge],
+   [on_account_period] and [apply_credit] move the quota, wake detection
+   the runnable flag. *)
+let[@inline always] refresh t st =
+  if st.capped_guest then put t.ready st (st.was_runnable && st.quota > 0)
+
+(* Wake detection for one domain: one that just became runnable gets
+   BOOST priority (Xen's latency fix for I/O-bound domains) until its next
+   dispatch.  A deferring workload whose version has not moved since it
+   was last asked is not asked again: its [has_work] cannot have changed
+   (see {!Workload.version}). *)
+let wake t st =
+  let version = Workload.version st.workload in
+  if st.polled || version <> st.seen then begin
+    st.seen <- version;
+    let runnable = Workload.has_work st.workload in
+    if runnable <> st.was_runnable then begin
+      if t.boost && runnable && not (mem t.boosted st) then put t.boosted st true;
+      st.was_runnable <- runnable;
+      if st.uncapped then put t.uncapped_ready st runnable else refresh t st
+    end
+  end
+
+(* The one pass per pick that asks the workloads; the searches below read
+   the sets it keeps.  Domains that can never run are not asked.  When
+   every live workload defers and none has really advanced or been
+   flushed since the last pass, the only one whose [has_work] can have
+   moved is the one the host ran since: the last pick. *)
+let detect_wakes t =
+  let changes = Workload.count t.changes in
+  if t.any_polled || changes <> t.changes_seen then begin
+    t.changes_seen <- changes;
+    for k = 0 to Array.length t.live - 1 do
+      wake t t.doms.(t.live.(k))
+    done
+  end
+  else if t.last_pick >= 0 then wake t t.doms.(t.last_pick)
+
 let eligible_capped st exclude =
   st.was_runnable
   && Sim_time.compare st.quota Sim_time.zero > 0
   && not (Scheduler.Mask.mem exclude st.domain)
-
-let eligible_uncapped st exclude =
-  st.uncapped && st.was_runnable && not (Scheduler.Mask.mem exclude st.domain)
 
 let rec find_dom0 t exclude k =
   if k >= Array.length t.dom0 then -1
@@ -111,38 +137,67 @@ let rec find_dom0 t exclude k =
     if eligible_capped t.doms.(i) exclude then i else find_dom0 t exclude (k + 1)
   end
 
-(* Rotating scans starting after a round-robin pointer; -1 when nobody
-   matches.  [ptr + 1 + i] stays below [2n], so one compare-and-subtract
-   wraps it. *)
-let[@inline always] rotate ptr n i =
-  let j = ptr + 1 + i in
-  if j >= n then j - n else j
+(* The three searches, by kind. *)
+let k_boost = 0
+let k_ready = 1
+let k_uncapped = 2
 
-let rec find_boost doms exclude ptr n i =
-  if i >= n then -1
+let[@inline always] word t kind w =
+  if kind = k_boost then t.boosted.(w) land t.ready.(w)
+  else if kind = k_ready then t.ready.(w)
+  else t.uncapped_ready.(w)
+
+(* Set bits below a power of two [b < 2^62]: the bit's index. *)
+let[@inline always] bit_index b =
+  let x = b - 1 in
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
+
+(* The lowest domain of the word [x] (bit 0 is domain [base]) that is not
+   excluded; an excluded one is cleared from the local copy.  Most words
+   searched are empty, so that test is inlined. *)
+let rec first_set t exclude x base =
+  let b = x land -x in
+  let i = base + bit_index b in
+  if not (Scheduler.Mask.mem exclude t.doms.(i).domain) then i
+  else if x = b then -1
+  else first_set t exclude (x lxor b) base
+
+let[@inline always] first t exclude x base = if x = 0 then -1 else first_set t exclude x base
+
+let rec first_in_words t kind exclude w last =
+  if w > last then -1
   else begin
-    let idx = rotate ptr n i in
-    let st = doms.(idx) in
-    if st.boosted && st.capped_guest && eligible_capped st exclude then idx
-    else find_boost doms exclude ptr n (i + 1)
+    let i = first t exclude (word t kind w) (w * word_bits) in
+    if i >= 0 then i else first_in_words t kind exclude (w + 1) last
   end
 
-let rec find_capped doms exclude ptr n i =
-  if i >= n then -1
+(* The rotating search: the first member of the set, not excluded, from
+   the domain [start] on (wrapping once); -1 when none.  The word of
+   [start] is searched in two halves, its later bits first and its
+   earlier ones last. *)
+let search t kind exclude start =
+  let ws = start.word in
+  let base = ws * word_bits in
+  let x = word t kind ws and later = -start.bit in
+  let i = first t exclude (x land later) base in
+  if i >= 0 then i
   else begin
-    let idx = rotate ptr n i in
-    let st = doms.(idx) in
-    if st.capped_guest && eligible_capped st exclude then idx
-    else find_capped doms exclude ptr n (i + 1)
+    let last = Array.length t.ready - 1 in
+    let i = if ws < last then first_in_words t kind exclude (ws + 1) last else -1 in
+    if i >= 0 then i
+    else begin
+      let i = if ws > 0 then first_in_words t kind exclude 0 (ws - 1) else -1 in
+      if i >= 0 then i else first t exclude (x land lnot later) base
+    end
   end
 
-let rec find_uncapped doms exclude ptr n i =
-  if i >= n then -1
-  else begin
-    let idx = rotate ptr n i in
-    if eligible_uncapped doms.(idx) exclude then idx
-    else find_uncapped doms exclude ptr n (i + 1)
-  end
+(* The search after the round-robin pointer [ptr]. *)
+let find t kind exclude ptr =
+  let n = Array.length t.doms in
+  if n = 0 then -1 else search t kind exclude t.doms.(if ptr + 1 >= n then 0 else ptr + 1)
 
 (* The per-domain slice record is reused across picks (see the contract in
    Scheduler.slice): write the cap, hand back the preallocated option. *)
@@ -153,30 +208,26 @@ let slice_of t i cap ~remaining =
   st.cell_opt
 
 (* Priority order: capped dom0, then boosted guests, then capped guests
-   round-robin, then uncapped domains on the leftover.  The boost and
-   uncapped scans are skipped when their counters say nobody qualifies. *)
+   round-robin, then uncapped domains on the leftover. *)
 (* alloc: none *)
 let pick t ~now:_ ~remaining ~exclude =
   detect_wakes t;
   let i0 = find_dom0 t exclude 0 in
   if i0 >= 0 then slice_of t i0 t.doms.(i0).quota ~remaining
   else begin
-    let n = Array.length t.doms in
-    let ib = if t.boosted_count > 0 then find_boost t.doms exclude t.rr_boost n 0 else -1 in
+    let ib = find t k_boost exclude t.rr_boost in
     if ib >= 0 then begin
       t.rr_boost <- ib;
       slice_of t ib t.doms.(ib).quota ~remaining
     end
     else begin
-      let ic = find_capped t.doms exclude t.rr n 0 in
+      let ic = find t k_ready exclude t.rr in
       if ic >= 0 then begin
         t.rr <- ic;
         slice_of t ic t.doms.(ic).quota ~remaining
       end
       else begin
-        let iu =
-          if t.has_uncapped then find_uncapped t.doms exclude t.rr_uncapped n 0 else -1
-        in
+        let iu = find t k_uncapped exclude t.rr_uncapped in
         if iu >= 0 then begin
           t.rr_uncapped <- iu;
           slice_of t iu remaining ~remaining
@@ -205,20 +256,19 @@ let state_for_charge t d =
 (* alloc: none *)
 let charge t ~domain ~now ~used =
   let st = state_for_charge t domain in
-  if st.boosted then begin
-    (* the low-latency dispatch happened; back in the pack *)
-    st.boosted <- false;
-    t.boosted_count <- t.boosted_count - 1
-  end;
+  (* the low-latency dispatch happened; back in the pack *)
+  put t.boosted st false;
   st.quota <- (if Sim_time.compare used st.quota >= 0 then Sim_time.zero
                else Sim_time.sub st.quota used);
+  refresh t st;
   if Analysis.Config.enabled () then check_quota st ~domain ~now
 
 (* alloc: none *)
 let on_account_period t ~now:_ =
   for i = 0 to Array.length t.doms - 1 do
     let st = t.doms.(i) in
-    st.quota <- st.full_quota
+    st.quota <- st.full_quota;
+    refresh t st
   done
 
 (* alloc: cold *)
@@ -244,7 +294,8 @@ let[@inline always] apply_credit t st credit =
     st.quota <-
       (if Sim_time.compare cut st.quota >= 0 then Sim_time.zero
        else Sim_time.sub st.quota cut)
-  end
+  end;
+  refresh t st
 
 let set_effective_credit t d credit =
   if Analysis.Config.enabled () then check_credit d credit;
@@ -275,15 +326,19 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
   let ids = List.map Domain.id domains in
   if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
     invalid_arg "Sched_credit.create: duplicate domains";
+  let changes = Workload.counter () in
   let doms =
     Array.of_list
-      (List.map
-         (fun d ->
+      (List.mapi
+         (fun i d ->
            let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
            let uncapped = Domain.uncapped d in
            let workload = Domain.workload d in
+           Workload.use_counter workload changes;
            {
              domain = d;
+             word = i / word_bits;
+             bit = 1 lsl (i mod word_bits);
              workload;
              polled = not (Workload.defers workload);
              seen = -1;
@@ -293,7 +348,6 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
              full_quota = Sim_time.zero;
              quota = Sim_time.zero;
              was_runnable = false;
-             boosted = false;
              cell;
              cell_opt = Some cell;
            })
@@ -302,6 +356,8 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
   let indices p =
     Array.of_list (List.filter (fun i -> p doms.(i)) (List.init (Array.length doms) Fun.id))
   in
+  let live = indices (fun st -> Domain.may_run st.domain) in
+  let words () = Array.make ((Array.length doms / word_bits) + 1) 0 in
   let t =
     {
       account_period;
@@ -309,9 +365,13 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
       boost;
       doms;
       dom0 = indices (fun st -> Domain.is_dom0 st.domain && not st.uncapped);
-      live = indices (fun st -> Domain.may_run st.domain);
-      has_uncapped = Array.exists (fun st -> st.uncapped) doms;
-      boosted_count = 0;
+      live;
+      any_polled = Array.exists (fun i -> doms.(i).polled) live;
+      changes;
+      changes_seen = -1;
+      ready = words ();
+      boosted = words ();
+      uncapped_ready = words ();
       last_pick = -1;
       rr = 0;
       rr_uncapped = 0;

@@ -34,6 +34,15 @@ val make :
     30 ms) — quotas are refilled on {!Hypervisor.Scheduler.t.on_account_period}.
     [host_capacity] is the host's core count (default 1): a credit is a
     percentage of the {e whole} host, so quotas scale with it.
+
+    The scheduler gives every domain's workload a change counter of its
+    own ({!Workloads.Workload.use_counter}), so a pick can tell that no
+    deferring workload has advanced since the last one and ask only the
+    workload it picked last.  In exchange, between two picks the caller
+    executes at most the workload of the domain the first one returned,
+    as a host's dispatch loop does.  Dispatch sets are bitsets over the
+    domains, 62 to a machine word, searched from the round-robin pointer
+    with one rotating find-first-set.
     @raise Invalid_argument on duplicate domains, a zero period, or
     [host_capacity < 1]. *)
 

@@ -118,6 +118,8 @@ let free_prims =
   [
     (* int/float/bool operators *)
     "+"; "-"; "*"; "/"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr";
+    (* bitwise complement of an immediate int, as free as [lxor] *)
+    "lnot";
     "succ"; "pred"; "abs"; "+."; "-."; "*."; "/."; "**"; "~-"; "~-."; "~+"; "~+.";
     "="; "<>"; "<"; ">"; "<="; ">="; "=="; "!="; "compare"; "min"; "max";
     "not"; "&&"; "||"; "&"; "or"; "ignore"; "fst"; "snd";
@@ -503,16 +505,9 @@ let check ~sources g =
   let witnesses = Array.make n [] in
   let edges = ref [] in
   Array.iteri
-    (fun i { Callgraph.nkey = fkey_i; nunit = funit; nbody = body } ->
+    (fun i ({ Callgraph.nkey = fkey_i; nunit = funit; nbody = body } as node) ->
       if not (Hashtbl.mem cold fkey_i) then begin
-        (* the nested module the binding sits in, e.g. [Running] for
-           [Stats.Running.add] *)
-        let scope =
-          match List.rev (String.split_on_char '.' fkey_i) with
-          | _ :: rev_scope -> List.tl (List.rev rev_scope)
-          | [] -> []
-        in
-        let resolve = Callgraph.resolve g ~cur:funit ~scope in
+        let resolve = Callgraph.resolve g ~cur:funit ~scope:(Callgraph.node_scope node) in
         let classify p =
           let d = Ast_util.dotted p in
           match resolve p with

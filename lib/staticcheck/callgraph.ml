@@ -72,6 +72,11 @@ let build parsed =
 let unit_infos t = List.map snd t.units
 let find_unit t name = List.assoc_opt name t.units
 let nodes t = t.nodes
+
+let node_scope n =
+  match List.rev (String.split_on_char '.' n.nkey) with
+  | _ :: rev_scope -> List.tl (List.rev rev_scope)
+  | [] -> []
 let index t k = Hashtbl.find_opt t.index k
 
 type target =

@@ -52,6 +52,10 @@ val nodes : t -> node array
     a node's array position is its index in the {!Fixpoint} solve and
     search. *)
 
+val node_scope : node -> string list
+(** The nested module a node's binding sits in, e.g. [["Running"]] for
+    [Stats.Running.add]; the [scope] to {!resolve} its references in. *)
+
 val index : t -> string -> int option
 (** The node index of a key (the last node, should a unit bind the same
     path twice). *)

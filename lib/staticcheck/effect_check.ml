@@ -82,13 +82,14 @@ let check g =
   let witnesses = Array.make n [] in
   let edges = ref [] in
   Array.iteri
-    (fun i { Callgraph.nunit = funit; nbody; _ } ->
+    (fun i ({ Callgraph.nunit = funit; nbody; _ } as node) ->
+      let scope = Callgraph.node_scope node in
       List.iter
         (fun (path, line) ->
           if List.mem "Prng" path then
             base.(i) <- join base.(i) Seeded
           else
-            match Callgraph.resolve g ~cur:funit path with
+            match Callgraph.resolve g ~cur:funit ~scope path with
             | Callgraph.Fun { fkey; funit = tu; _ } ->
                 if not (List.mem tu.Callgraph.uname blessed_units) then (
                   match Callgraph.index g fkey with

@@ -39,13 +39,14 @@ let check g =
   let nodes = Callgraph.nodes g in
   let node_refs = Array.map (fun nd -> Ast_util.guarded_refs nd.Callgraph.nbody) nodes in
   let node_unit = Array.map (fun nd -> nd.Callgraph.nunit) nodes in
+  let node_scope = Array.map Callgraph.node_scope nodes in
   (* --- entry-reachability over resolved call edges --- *)
   let edges = ref [] in
   Array.iteri
     (fun i refs ->
       List.iter
         (fun (path, _, _, _) ->
-          match Callgraph.resolve g ~cur:node_unit.(i) path with
+          match Callgraph.resolve g ~cur:node_unit.(i) ~scope:node_scope.(i) path with
           | Callgraph.Fun { fkey; _ } -> (
               match Callgraph.index g fkey with
               | Some j when i <> j -> edges := (i, j) :: !edges
@@ -59,8 +60,8 @@ let check g =
   in
   (* --- collect access sites on unsynchronized roots --- *)
   let roots : (string * racc) list ref = ref [] in
-  let record ~cur ~shared (path, line, guard, written) =
-    match Callgraph.resolve g ~cur path with
+  let record ~cur ~scope ~shared (path, line, guard, written) =
+    match Callgraph.resolve g ~cur ~scope path with
     | Callgraph.Root { rkey; runit; root; rpath } when not root.Ast_util.rsync ->
         let r =
           match List.assoc_opt rkey !roots with
@@ -73,7 +74,7 @@ let check g =
         let aguard =
           Option.map
             (fun gp ->
-              match Callgraph.resolve g ~cur gp with
+              match Callgraph.resolve g ~cur ~scope gp with
               | Callgraph.Root { rkey; _ } -> rkey
               | Callgraph.Fun { fkey; _ } -> fkey
               | Callgraph.External p -> Ast_util.dotted p)
@@ -85,13 +86,16 @@ let check g =
     | _ -> ()
   in
   Array.iteri
-    (fun i refs -> List.iter (record ~cur:node_unit.(i) ~shared:(parent.(i) >= -1)) refs)
+    (fun i refs ->
+      List.iter
+        (record ~cur:node_unit.(i) ~scope:node_scope.(i) ~shared:(parent.(i) >= -1))
+        refs)
     node_refs;
   List.iter
     (fun u ->
       List.iter
         (fun (_, closure) ->
-          List.iter (record ~cur:u ~shared:true) (Ast_util.guarded_refs closure))
+          List.iter (record ~cur:u ~scope:[] ~shared:true) (Ast_util.guarded_refs closure))
         u.Callgraph.ulocals.Ast_util.spawns)
     (Callgraph.unit_infos g);
   (* --- classify --- *)

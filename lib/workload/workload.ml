@@ -1,3 +1,7 @@
+(* Bumped by every real advance and flush of the deferring workloads that
+   share it; see {!use_counter}. *)
+type counter = { mutable count : int }
+
 type t = {
   name : string;
   advance : now:Sim_time.t -> dt:Sim_time.t -> unit;
@@ -8,11 +12,13 @@ type t = {
   (* Deferral state; only a workload made with [~due] ever moves it.
      [Sim_time.t] is the int microsecond count, so the per-tick test below
      compares and adds immediates instead of calling across libraries. *)
-  mutable due_at : Sim_time.t; (* first tick that must really advance; 0: the next *)
+  mutable due_at : Sim_time.t;
+      (* first tick that must really advance; 0: the next; [never] without an [advance] *)
   mutable last : Sim_time.t; (* instant of the last tick seen, advanced or deferred *)
   mutable step : Sim_time.t; (* step of that tick; 0 before the first *)
   mutable pending : int; (* deferred ticks, the last at [last], [step] apart *)
   mutable version : int; (* bumped by every real advance, execute and flush *)
+  mutable counter : counter; (* the owner's; bumped by every real advance and flush *)
 }
 
 (* The one default [advance]: every workload built without an [advance]
@@ -40,17 +46,22 @@ let make ~name ?(advance = no_advance) ?(defer = (every_tick, no_catch_up)) ~has
     execute;
     due;
     catch_up;
-    due_at = Sim_time.zero;
+    due_at = (if advance == no_advance then never else Sim_time.zero);
     last = Sim_time.zero;
     step = Sim_time.zero;
     pending = 0;
     version = 0;
+    counter = { count = 0 };
   }
 
 let name t = t.name
 let advances t = t.advance != no_advance
 let defers t = t.due != every_tick
 let version t = t.version
+let due_at t = t.due_at
+let counter () = { count = 0 }
+let count c = c.count
+let use_counter t c = t.counter <- c
 let has_work t = t.has_work ()
 
 let replay t =
@@ -75,13 +86,27 @@ let advance t ~now ~dt =
     t.last <- now;
     t.step <- dt;
     t.version <- t.version + 1;
+    t.counter.count <- t.counter.count + 1;
     t.due_at <- t.due ~now ~dt
+  end
+
+(* The ticks in [(last, now]] are ones [advance] would have deferred: the
+   caller skipped them because each came before [due_at], directly after
+   the one before, with the step of the last real advance.  [last >= from]
+   ties the run to the caller's own last advance of this workload. *)
+let defer_through t ~from ~now ~dt =
+  if t.due != every_tick && dt = t.step && t.last >= from && now > t.last then begin
+    t.pending <- t.pending + ((now - t.last) / dt);
+    t.last <- now
   end
 
 let flush t =
   if t.pending > 0 then replay t;
-  t.version <- t.version + 1;
-  t.due_at <- Sim_time.zero
+  if t.due != every_tick then begin
+    t.version <- t.version + 1;
+    t.counter.count <- t.counter.count + 1;
+    t.due_at <- Sim_time.zero
+  end
 
 (* [execute] may change what [due] would answer (a pi-app that drains its
    tokens must be advanced on the very next tick), so the due tick is

@@ -72,7 +72,10 @@ val defers : t -> bool
 val flush : t -> unit
 (** Replay the deferred ticks now and make the next tick a real advance.
     An owner that changes the workload's state outside [advance] and
-    [execute] (such as [Pi_app.reset]) calls it first. *)
+    [execute] (such as [Pi_app.reset]) calls it first.  A host that skips
+    quiet ticks reads {!due_at} only at its own advance loops and
+    executes, so such a change belongs before the host is built or after
+    it is stopped, not between two of its ticks. *)
 
 val version : t -> int
 (** A counter bumped by every real advance, every [execute] and every
@@ -80,6 +83,39 @@ val version : t -> int
     [has_work] cannot have changed, so a scheduler that remembers the
     answer for a version need not ask again.  Meaningless without
     [~defer]: such a workload's [has_work] may change at any time. *)
+
+type counter
+(** A change counter several workloads can share. *)
+
+val counter : unit -> counter
+val count : counter -> int
+
+val use_counter : t -> counter -> unit
+(** [use_counter w c] makes [w] bump [c] (instead of the counter {!make}
+    gave it) on every real advance and every {!flush}, when [w] was made
+    with [~defer]; executes do not bump it.  An owner of many workloads
+    that sees its counter stand still between two instants knows that
+    only the workloads it executed in between can have changed [has_work]
+    there.  A workload bumps one counter: the last one given. *)
+
+val due_at : t -> Sim_time.t
+(** The first tick [advance] would not defer, as of the last real
+    advance or [execute]: 0 (the next tick) for a workload that advances
+    but was made without [~defer], {!never} for one made without an
+    [advance].  {!flush} of a workload made with [~defer] resets it to
+    0. *)
+
+val defer_through : t -> from:Sim_time.t -> now:Sim_time.t -> dt:Sim_time.t -> unit
+(** [defer_through w ~from ~now ~dt] counts the ticks after [w]'s last
+    tick up to and including [now], [dt] apart, as deferred, exactly as
+    that many {!advance} calls would have.  It applies only when [w] was
+    made with [~defer], its last real advance had step [dt] and its last
+    tick is at or after [from]; otherwise (or with [now] not after the
+    last tick) it does nothing.  The caller vouches that each of these
+    ticks precedes {!due_at} and that nothing but {!execute} reached [w]
+    since [from], its own last {!advance} of [w]: a host that skips the
+    [advance] calls of quiet ticks credits them this way before the next
+    [advance] or [execute]. *)
 
 val advances : t -> bool
 (** False when the workload was made without an [advance] (the default

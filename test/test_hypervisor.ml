@@ -253,6 +253,133 @@ let host_skips_default_advance () =
   check_int "advanced on every tick" 1000 !advanced;
   check_float_eps 0.01 "plain still runs" 0.2 (Sim_time.to_sec (Domain.cpu_time plain))
 
+(* Host-side deferral: a Credit host over deferring web and pi guests
+   against a twin whose guests are wrapped by {!Every_tick.wrap}, so the
+   twin advances every workload on every tick and its scheduler polls
+   them all.  Between random stretches of simulated time the hosts are
+   stopped and rebuilt over the same domains (mostly in the middle of a
+   run of skipped ticks), or dispatched once more at the current instant;
+   low-duty pi jobs drain their tokens on execute, which pulls their due
+   tick to the next one.  Every observation must agree after every step,
+   and the private accumulators once both sides are flushed. *)
+let host_deferral_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let webs =
+    List.init (1 + int 6) (fun _ ->
+        let from = 1 + int 400 and rate = 0.005 *. float_of_int (1 + int 40) in
+        ( [ (Sim_time.zero, 0.0); (ms from, rate); (ms (from + 1 + int 800), rate /. 3.0) ],
+          ms (5 + int 300) ))
+  in
+  let pis =
+    List.init (1 + int 4) (fun _ ->
+        (0.01 *. float_of_int (1 + int 60), 0.01 *. float_of_int (1 + int 40)))
+  in
+  let side wrap =
+    let web_apps =
+      List.map
+        (fun (rate_schedule, timeout) -> Workloads.Web_app.create ~timeout ~rate_schedule ())
+        webs
+    in
+    let pi_apps =
+      List.map (fun (duty_cycle, work) -> Workloads.Pi_app.create ~duty_cycle ~work ()) pis
+    in
+    let guest name credit w = Domain.create ~name ~credit_pct:credit (wrap w) in
+    let domains =
+      Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:5.0 (Workload.idle ())
+      :: (List.mapi
+            (fun i app ->
+              guest (Printf.sprintf "w%d" i) (float_of_int (3 + (7 * i mod 20)))
+                (Workloads.Web_app.workload app))
+            web_apps
+         @ List.mapi
+             (fun i app ->
+               guest (Printf.sprintf "p%d" i) (float_of_int (2 + (5 * i mod 15)))
+                 (Workloads.Pi_app.workload app))
+             pi_apps
+         @ [ guest "idle" 10.0 (Workload.idle ()) ])
+    in
+    let sim = Simulator.create () in
+    let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+    let build () = Host.create ~sim ~processor ~scheduler:(Sched_credit.create domains) () in
+    (sim, domains, web_apps, pi_apps, ref (build ()), build)
+  in
+  let ((sim_a, doms_a, webs_a, pis_a, host_a, build_a) as a) = side Fun.id in
+  let ((_, _, webs_b, pis_b, host_b, build_b) as b) = side Every_tick.wrap in
+  let observe (sim, domains, web_apps, pi_apps, host, _) =
+    let now = Simulator.now sim in
+    String.concat " "
+      (List.map
+         (fun d ->
+           Printf.sprintf "%s:%d/%b" (Domain.name d) (Sim_time.to_us (Domain.cpu_time d))
+             (Domain.runnable d))
+         domains
+      @ List.map
+          (fun app ->
+            Printf.sprintf "web:%d/%d/%d/%d/%h" (Workloads.Web_app.injected_requests app)
+              (Workloads.Web_app.completed_requests app)
+              (Workloads.Web_app.timed_out_requests app)
+              (Workloads.Web_app.queue_length app)
+              (Workloads.Web_app.current_rate app ~now))
+          web_apps
+      @ List.map
+          (fun app ->
+            Printf.sprintf "pi:%h/%b" (Workloads.Pi_app.remaining_work app)
+              (Workloads.Pi_app.finished app))
+          pi_apps
+      @ [ string_of_int (Sim_time.to_us (Host.total_busy !host)) ])
+  in
+  let agree what =
+    let x = observe a and y = observe b in
+    if not (String.equal x y) then
+      QCheck.Test.fail_reportf "seed %d at %d us, after %s:\n  deferring %s\n  every-tick %s" seed
+        (Sim_time.to_us (Simulator.now sim_a)) what x y
+  in
+  for _ = 1 to 60 do
+    let what =
+      match int 10 with
+      | 0 | 1 ->
+          Host.stop !host_a;
+          Host.stop !host_b;
+          host_a := build_a ();
+          host_b := build_b ();
+          "rebuild"
+      | 2 ->
+          Host.Internal.dispatch_tick !host_a ();
+          Host.Internal.dispatch_tick !host_b ();
+          "repeated instant"
+      | _ ->
+          let d = if int 4 = 0 then Sim_time.of_us (1 + int 5_000) else ms (1 + int 200) in
+          Host.run_for !host_a d;
+          Host.run_for !host_b d;
+          "run"
+    in
+    agree what
+  done;
+  Host.stop !host_a;
+  Host.stop !host_b;
+  List.iter (fun d -> Workload.flush (Domain.workload d)) doms_a;
+  List.iter2
+    (fun x y ->
+      if Workloads.Web_app.carry x <> Workloads.Web_app.carry y then
+        QCheck.Test.fail_reportf "seed %d: web carry %h vs %h" seed (Workloads.Web_app.carry x)
+          (Workloads.Web_app.carry y))
+    webs_a webs_b;
+  List.iter2
+    (fun x y ->
+      if Workloads.Pi_app.tokens x <> Workloads.Pi_app.tokens y then
+        QCheck.Test.fail_reportf "seed %d: pi tokens %d vs %d" seed
+          (Sim_time.to_us (Workloads.Pi_app.tokens x))
+          (Sim_time.to_us (Workloads.Pi_app.tokens y)))
+    pis_a pis_b;
+  true
+
+let host_deferral =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"host-side deferral matches every-tick hosts"
+       QCheck.(int_bound 1_000_000)
+       host_deferral_run)
+
 let () =
   Alcotest.run "hypervisor"
     [
@@ -284,5 +411,6 @@ let () =
           Alcotest.test_case "stop freezes" `Quick host_stop_freezes;
           Alcotest.test_case "domains accessor" `Quick host_domains_accessor;
           Alcotest.test_case "skips default advance" `Quick host_skips_default_advance;
+          host_deferral;
         ] );
     ]

@@ -1,10 +1,10 @@
-(* Model-based test of the calendar event queue.
+(* Model-based test of the simulator's event queue.
 
    A reference scheduler — a plain unordered list scanned for the minimal
    (time, seq) entry, with the same fresh-seq discipline as [Simulator] —
    is driven through the same random interleavings of schedule / cancel /
    recurring / run_until operations.  The firing order and the [pending]
-   count must match exactly: the calendar buckets, the overflow heap and
+   count must match exactly: the heap layout, the periodic re-arm and
    cancelled-event compaction are all implementation detail the model must
    not be able to observe. *)
 
@@ -94,8 +94,8 @@ let gen_ops =
     list_size (int_range 1 60)
       (frequency
          [
-           (* Delays up to 5 s span many calendar buckets and reach the
-              overflow region beyond the bucketed window. *)
+           (* Delays up to 5 s mix far one-shots with the short periodic
+              chains. *)
            (5, map (fun d -> Schedule d) (int_range 0 5_000_000));
            (2, map (fun p -> Recur p) (int_range 1 10_000));
            (3, map (fun i -> Cancel i) (int_range 0 200));
@@ -213,6 +213,45 @@ let every_survives_compact () =
   check_int "cancelled after compaction stays silent" 10 !fires;
   check_int "queue drains clean" 0 (Simulator.pending sim)
 
+(* A periodic action that cancels its own chain: the firing in progress
+   completes, nothing is re-armed, and the queue holds no dead entry. *)
+let every_cancelled_by_own_action () =
+  let sim = Simulator.create () in
+  let fires = ref 0 in
+  let self = ref None in
+  let timer =
+    Simulator.every sim (Sim_time.of_ms 1) (fun () ->
+        incr fires;
+        if !fires = 3 then Option.iter (Simulator.cancel sim) !self)
+  in
+  self := Some timer;
+  Simulator.run_until sim (Sim_time.of_ms 10);
+  check_int "fires up to the cancelling one" 3 !fires;
+  check_int "nothing re-armed" 0 (Simulator.pending sim);
+  check_int "no step left over" 0 (if Simulator.step sim then 1 else 0)
+
+(* A one-shot that a periodic action queues at the instant its chain
+   re-arms to fires first: the chain takes its seq after the action has run. *)
+let one_shot_at_rearm_instant () =
+  let sim = Simulator.create () in
+  let log = ref [] in
+  let period = Sim_time.of_ms 2 in
+  let n = ref 0 in
+  let timer =
+    Simulator.every sim period (fun () ->
+        incr n;
+        log := Printf.sprintf "tick%d" !n :: !log;
+        if !n = 1 then
+          ignore
+            (Simulator.at sim
+               (Sim_time.add (Simulator.now sim) period)
+               (fun () -> log := "one-shot" :: !log)))
+  in
+  Simulator.run_until sim (Sim_time.of_ms 6);
+  Simulator.cancel sim timer;
+  Alcotest.(check (list string))
+    "FIFO at the re-arm instant" [ "tick1"; "one-shot"; "tick2"; "tick3" ] (List.rev !log)
+
 let () =
   Alcotest.run "queue_model"
     [
@@ -222,5 +261,10 @@ let () =
             queue_matches_model;
         ] );
       ( "regressions",
-        [ Alcotest.test_case "every survives compact" `Quick every_survives_compact ] );
+        [
+          Alcotest.test_case "every survives compact" `Quick every_survives_compact;
+          Alcotest.test_case "every cancelled by its own action" `Quick
+            every_cancelled_by_own_action;
+          Alcotest.test_case "one-shot at the re-arm instant" `Quick one_shot_at_rearm_instant;
+        ] );
     ]

@@ -7,7 +7,7 @@ module Scheduler = Hypervisor.Scheduler
 module Host = Hypervisor.Host
 module Processor = Cpu_model.Processor
 
-let _check_int = Alcotest.(check int)
+let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float_eps eps = Alcotest.(check (float eps))
 let sec = Sim_time.of_sec
@@ -321,37 +321,40 @@ end
    guests that only the narrowed wake detection skips, and a stream of
    ticks, picks (with random exclusions) that run what they pick,
    charges, refills and credit changes.  The reference asks every
-   workload on every pick. *)
-let differential_run seed =
+   workload on every pick.  With [~toggles:false] deferring guests take
+   the toggles' place, so no live workload is polled. *)
+let differential_run ?(min_domains = 1) ?(max_domains = 41) ?(toggles = true) seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
-  let n = 1 + int 40 in
+  let n = min_domains + int (max_domains - min_domains + 1) in
   let active = Array.init n (fun _ -> chance 0.5) in
   let deferring = ref [] in
+  let defer w =
+    deferring := w :: !deferring;
+    w
+  in
+  let web () =
+    defer
+      (Workloads.Web_app.workload
+         (Workloads.Web_app.create ~timeout:(Sim_time.of_ms (1 + int 200))
+            ~rate_schedule:
+              [ (Sim_time.zero, 0.01 *. float_of_int (int 60));
+                (Sim_time.of_ms (1 + int 300), 0.01 *. float_of_int (int 60)) ]
+            ()))
+  and pi () =
+    defer
+      (Workloads.Pi_app.workload
+         (Workloads.Pi_app.create ~duty_cycle:(0.05 *. float_of_int (1 + int 20))
+            ~work:(0.001 *. float_of_int (1 + int 300)) ()))
+  in
   let domains =
     List.init n (fun i ->
         let workload =
           match int 20 with
           | 0 | 1 | 2 -> Workload.idle ()
-          | 3 | 4 | 5 | 6 ->
-              let app =
-                Workloads.Web_app.create ~timeout:(Sim_time.of_ms (1 + int 200))
-                  ~rate_schedule:
-                    [ (Sim_time.zero, 0.01 *. float_of_int (int 60));
-                      (Sim_time.of_ms (1 + int 300), 0.01 *. float_of_int (int 60)) ]
-                  ()
-              in
-              let w = Workloads.Web_app.workload app in
-              deferring := w :: !deferring;
-              w
-          | 7 | 8 | 9 ->
-              let app =
-                Workloads.Pi_app.create ~duty_cycle:(0.05 *. float_of_int (1 + int 20))
-                  ~work:(0.001 *. float_of_int (1 + int 300)) ()
-              in
-              let w = Workloads.Pi_app.workload app in
-              deferring := w :: !deferring;
-              w
+          | 3 | 4 | 5 | 6 -> web ()
+          | 7 | 8 | 9 -> pi ()
+          | k when not toggles -> if k < 15 then web () else pi ()
           | _ ->
               Workload.make ~name:"toggle"
                 ~has_work:(fun () -> active.(i))
@@ -447,7 +450,55 @@ let differential_pick =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"pick/charge match the five-pass reference"
        QCheck.(int_bound 1_000_000)
-       differential_run)
+       (fun seed -> differential_run seed))
+
+(* Hosts of 70 to 140 domains span two or three bitset words, so the
+   rotating search wraps across words and clears excluded candidates in
+   each.  Half the runs have no polled workload at all, so the narrowed
+   wake detection (only the last pick asked while no deferring workload
+   advanced) carries the whole run. *)
+let differential_pick_wide =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"pick/charge match the reference over several words"
+       QCheck.(int_bound 1_000_000)
+       (fun seed ->
+         differential_run ~min_domains:70 ~max_domains:140 ~toggles:(seed mod 2 = 0) seed))
+
+(* The rotation by hand over 70 always-runnable capped guests (two
+   words): picks walk the indices from the pointer on, cross from bit 61
+   of the first word to bit 0 of the second, wrap from the last domain to
+   the first, and step over an excluded candidate. *)
+let rotation_across_words () =
+  let domains =
+    List.init 70 (fun i ->
+        Domain.create ~name:(Printf.sprintf "g%d" i) ~credit_pct:1.0 (Workload.busy_loop ()))
+  in
+  let doms = Array.of_list domains in
+  let index d =
+    let rec go i = if Domain.equal doms.(i) d then i else go (i + 1) in
+    go 0
+  in
+  let t = Sched_credit.make ~boost:false domains in
+  let sched = Sched_credit.scheduler t in
+  let pick exclude =
+    match
+      sched.Scheduler.pick ~now:Sim_time.zero ~remaining:(Sim_time.of_us 10)
+        ~exclude:(Scheduler.Mask.of_list exclude)
+    with
+    | Some s -> index s.Scheduler.domain
+    | None -> -1
+  in
+  let walked = List.init 69 (fun _ -> pick []) in
+  Alcotest.(check (list int)) "walks from the pointer" (List.init 69 (fun i -> i + 1)) walked;
+  check_int "wraps to the first" 0 (pick []);
+  for _ = 1 to 60 do
+    ignore (pick [])
+  done;
+  let rr, _, _ = Sched_credit.rr_pointers t in
+  check_int "pointer at bit 60" 60 rr;
+  check_int "excluded candidate skipped across the word boundary" 63
+    (pick [ doms.(61); doms.(62) ]);
+  check_int "rotation resumes after it" 64 (pick [])
 
 let () =
   Alcotest.run "sched_credit"
@@ -481,6 +532,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick duplicate_domains_rejected;
           Alcotest.test_case "pick excludes" `Quick pick_excludes;
           Alcotest.test_case "pick none" `Quick pick_none_when_all_excluded;
+          Alcotest.test_case "rotation across words" `Quick rotation_across_words;
         ] );
-      ("differential", [ differential_pick ]);
+      ("differential", [ differential_pick; differential_pick_wide ]);
     ]

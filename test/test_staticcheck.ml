@@ -716,6 +716,16 @@ let test_callgraph_include () =
            end\n\
            let run_all () = M.stamp ()\n"))
 
+let test_callgraph_nested_scope () =
+  (* a bare call inside a nested module resolves against that module
+     first: [run]'s [now] is [M.now], whose [Sys.time] is nondeterministic *)
+  Alcotest.(check (list string)) "nested binding resolves in its module" [ "effect-nondet" ]
+    (rules
+       (analyze ~file:"lib/fake/runner.ml"
+          "module M = struct let now () = Sys.time () let run () = now () end
+           let run_all () = M.run ()
+"))
+
 let test_callgraph_functor () =
   (* functor applications are opaque: paths through [F (X)] stay
      External, with no finding and no crash *)
@@ -1240,6 +1250,7 @@ let () =
       ( "callgraph",
         [
           Alcotest.test_case "include re-export" `Quick test_callgraph_include;
+          Alcotest.test_case "nested module scope" `Quick test_callgraph_nested_scope;
           Alcotest.test_case "functor opacity" `Quick test_callgraph_functor;
           Alcotest.test_case "nested re-export" `Quick test_callgraph_reexport;
         ] );
