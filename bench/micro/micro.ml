@@ -278,6 +278,28 @@ let bench_credit_account () =
   measure ~name:"credit/account" ~ops:100_000 ~warmup:1_000 (fun () ->
       scheduler.Scheduler.on_account_period ~now)
 
+(* One pick and the charge of what it picked on the three contended
+   domains, for the schedulers that have no zero-alloc root. *)
+let bench_pick_charge name create () =
+  let scheduler = create (contended_domains ()) in
+  let exclude = Scheduler.Mask.create () in
+  let now = Sim_time.zero and remaining = Sim_time.of_ms 1 and used = Sim_time.of_us 10 in
+  measure ~name ~ops:100_000 ~warmup:1_000 (fun () ->
+      match scheduler.Scheduler.pick ~now ~remaining ~exclude with
+      | Some slice -> scheduler.Scheduler.charge ~domain:slice.Scheduler.domain ~now ~used
+      | None -> ())
+
+(* Listing 1.1's frequency search over the Optiplex table, at loads
+   stepping through 0-100. *)
+let bench_compute_new_freq () =
+  let arch = Cpu_model.Arch.optiplex_755 in
+  let load = ref 0 in
+  measure ~name:"pas/compute-new-freq" ~ops:100_000 ~warmup:1_000 (fun () ->
+      load := (!load + 7) mod 101;
+      ignore
+        (Pas.Equations.compute_new_freq arch.Cpu_model.Arch.freq_table
+           arch.Cpu_model.Arch.calibration ~absolute_load:(float_of_int !load)))
+
 (* A phased deterministic web guest advanced tick by tick, with a client
    timeout so the backlog (nobody serves it here) stays bounded: each op
    runs the segment lookup, expiry and request injection. *)
@@ -458,6 +480,9 @@ let all_benches =
     bench_governor "governor/conservative" (fun p -> Governors.Conservative.create p);
     bench_frame_csv;
     bench_domconfig_dense;
+    bench_pick_charge "sedf/pick-charge" (fun d -> Sched_sedf.create d);
+    bench_pick_charge "credit2/pick-charge" (fun d -> Sched_credit2.create d);
+    bench_compute_new_freq;
   ]
 
 (* Paths whose steady state must not allocate, each tied to the statically
@@ -502,17 +527,19 @@ let zero_alloc_names =
 let zero_alloc_epsilon = 0.01
 
 let results_json results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"dvfs-microbench/1\",\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf buf
-        "    {\"name\": \"%s\", \"ops\": %d, \"ns_per_op\": %.1f, \"words_per_op\": %.4f}%s\n"
-        r.name r.ops r.ns_per_op r.words_per_op
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let result r =
+    Json.Obj
+      [
+        ("name", Json.Str r.name);
+        ("ops", Json.Num (float_of_int r.ops));
+        ("ns_per_op", Json.fixed 1 r.ns_per_op);
+        ("words_per_op", Json.fixed 4 r.words_per_op);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.Str "dvfs-microbench/1"); ("results", Json.Arr (List.map result results)) ])
+  ^ "\n"
 
 let run_benches ~out ~check =
   if Analysis.Config.enabled () then
@@ -525,10 +552,7 @@ let run_benches ~out ~check =
     results;
   (match out with
   | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (results_json results));
+      Out_channel.with_open_text path (fun oc -> output_string oc (results_json results));
       Printf.printf "wrote %s\n" path
   | None -> ());
   if check then begin

@@ -32,16 +32,13 @@ let usage () =
   exit 2
 
 let write_timing ~path seconds passes =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"schema\": \"dvfs-analyze-timing/1\",\n";
-      Printf.fprintf oc "  \"analyze_seconds\": %.3f" seconds;
-      List.iter
-        (fun (name, s) -> Printf.fprintf oc ",\n  \"%s_seconds\": %.3f" name s)
-        passes;
-      Printf.fprintf oc "\n}\n")
+  let seconds_key (name, s) = (name ^ "_seconds", Json.fixed 3 s) in
+  let doc =
+    Json.Obj
+      (("schema", Json.Str "dvfs-analyze-timing/1")
+      :: List.map seconds_key (("analyze", seconds) :: passes))
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string doc ^ "\n"))
 
 let () =
   let sarif = ref None in

@@ -345,15 +345,8 @@ let build ?(wrap = Fun.id) t =
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
-(* The fewest significant digits, 15 to 17, that read back as the same
-   float (%g's six would not); any float needing at most 15 prints in
-   its shortest form, as %g strips trailing zeros. *)
-let pp_float ppf f =
-  let rec shortest p =
-    let s = Printf.sprintf "%.*g" p f in
-    if p >= 17 || Float.equal (float_of_string s) f then s else shortest (p + 1)
-  in
-  Format.pp_print_string ppf (shortest 15)
+(* Floats print so that they read back exactly (see Json.float_to_string). *)
+let pp_float ppf f = Format.pp_print_string ppf (Json.float_to_string f)
 
 let pp_workload ppf = function
   | Idle -> Format.fprintf ppf "workload=idle"

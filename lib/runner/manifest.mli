@@ -7,16 +7,12 @@
     [minor_words]/[major_words]) and the older [/1], whose missing word
     counters load as [0.].  The per-experiment [cpu_seconds] that older
     files of both schemas carry (a process-wide CPU-clock delta, so wrong
-    under a pool) is ignored.
-
-    Parsing is a self-contained recursive-descent JSON reader (no external
-    dependency); it accepts any well-formed JSON document, so schema growth
-    does not require touching the parser. *)
+    under a pool) is ignored.  The JSON itself is read by {!Json.parse}. *)
 
 exception Parse_error of string
-(** Raised on malformed JSON, an unsupported [schema] tag, or a missing /
-    mistyped required field.  The message includes a byte offset or field
-    name. *)
+(** Raised on malformed JSON (the message ends with the byte offset, as
+    {!Json.error_to_string} prints it), an unsupported [schema] tag, or a
+    missing / mistyped required field (the message names the field). *)
 
 type experiment = {
   id : string;

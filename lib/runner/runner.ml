@@ -114,64 +114,50 @@ let run_all ?pool_size ?(scale = 1.0) ?experiments () =
   { jobs; pool_size; scale; total_seconds = now () -. t0 }
 
 (* ------------------------------------------------------------------ *)
-(* JSON manifest.  Flat enough to emit by hand; [strip_timings] zeroes the
-   wall-clock/alloc fields so two runs of the same registry can be
-   compared byte-for-byte. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* JSON manifest.  [strip_timings] zeroes the wall-clock/alloc fields so
+   two runs of the same registry can be compared byte-for-byte; the other
+   figures are rounded to the precision the trajectory files have always
+   carried. *)
 
 let manifest_json ?(strip_timings = false) ?analyze_seconds r =
-  let buf = Buffer.create 2048 in
   let time v = if strip_timings then 0.0 else v in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"dvfs-bench-manifest/2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %g,\n" r.scale);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" r.pool_size);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_domains\": %d,\n" (Stdlib.Domain.recommended_domain_count ()));
-  Buffer.add_string buf (Printf.sprintf "  \"total_seconds\": %.3f,\n" (time r.total_seconds));
-  (* Optional key, still schema /2: manifests written without analyzer
-     timing stay byte-identical to what PR 4 produced. *)
-  Option.iter
-    (fun s ->
-      Buffer.add_string buf (Printf.sprintf "  \"analyze_seconds\": %.3f,\n" (time s)))
-    analyze_seconds;
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i j ->
-      let status, error =
-        match j.status with Done -> ("ok", "") | Failed m -> ("failed", Printf.sprintf ", \"error\": \"%s\"" (json_escape m))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"id\": \"%s\", \"status\": \"%s\"%s, \"seconds\": %.3f, \
-            \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"major_words\": %.0f, \"rows\": %d}%s\n"
-           (json_escape j.id) status error (time j.seconds)
-           (if strip_timings then 0.0 else j.alloc_mb)
-           (time j.minor_words) (time j.major_words) j.rows
-           (if i = List.length r.jobs - 1 then "" else ",")))
-    r.jobs;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let seconds v = Json.fixed 3 (time v) in
+  let num i = Json.Num (float_of_int i) in
+  let job j =
+    let status, error =
+      match j.status with
+      | Done -> ("ok", [])
+      | Failed m -> ("failed", [ ("error", Json.Str m) ])
+    in
+    Json.Obj
+      ([ ("id", Json.Str j.id); ("status", Json.Str status) ]
+      @ error
+      @ [
+          ("seconds", seconds j.seconds);
+          ("alloc_mb", Json.fixed 1 (time j.alloc_mb));
+          ("minor_words", Json.fixed 0 (time j.minor_words));
+          ("major_words", Json.fixed 0 (time j.major_words));
+          ("rows", num j.rows);
+        ])
+  in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema", Json.Str "dvfs-bench-manifest/2");
+          ("scale", Json.Num r.scale);
+          ("jobs", num r.pool_size);
+          ("host_domains", num (Stdlib.Domain.recommended_domain_count ()));
+          ("total_seconds", seconds r.total_seconds);
+        ]
+       (* Optional key, still schema /2: manifests written without
+          analyzer timing do not carry it. *)
+       @ Option.fold ~none:[] ~some:(fun s -> [ ("analyze_seconds", seconds s) ]) analyze_seconds
+       @ [ ("experiments", Json.Arr (List.map job r.jobs)) ]))
+  ^ "\n"
 
 let save_manifest ?strip_timings ?analyze_seconds r ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (manifest_json ?strip_timings ?analyze_seconds r))
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (manifest_json ?strip_timings ?analyze_seconds r))
 
 let print_outputs ppf r =
   List.iter

@@ -64,8 +64,9 @@ val manifest_json : ?strip_timings:bool -> ?analyze_seconds:float -> report -> s
 (** JSON manifest (schema [dvfs-bench-manifest/2], which extends [/1] with
     per-experiment [minor_words]/[major_words]; {!Manifest} reads both).
     [analyze_seconds] adds the optional static-analyzer wall-time key
-    ({!Manifest} reads it back; manifests written without it are unchanged
-    byte-for-byte, so old baselines stay comparable).  With
+    ({!Manifest} reads it back and loads a manifest without it as [0.]).
+    Printed by {!Json.to_string}, with seconds rounded to 3 decimals,
+    [alloc_mb] to 1 and word counts to integers.  With
     [~strip_timings:true] every timing/allocation field is zeroed, making
     manifests of identical registry runs byte-comparable. *)
 

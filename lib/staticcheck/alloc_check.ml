@@ -27,7 +27,7 @@
    as [alloc-unknown-callee] when a callee cannot be resolved or an
    indirect call goes through a record field outside the dispatch
    contract below.  [(* alloc: cold *)] excludes a binding from the
-   traversal: amortized growth ([Vec.grow], [Heap.grow]), off-by-default
+   traversal: amortized growth ([Vec.grow], [Simulator.grow]), off-by-default
    sanitizer/trace paths, and arrival-side [Prng] draws are declared cold
    at their definition and trusted at call sites.
 

@@ -1,232 +1,63 @@
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_string ~tool issues =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let rules =
-    List.sort_uniq String.compare (List.map (fun i -> i.Report.rule) issues)
+  let str s = Json.Str s in
+  let rules = List.sort_uniq String.compare (List.map (fun i -> i.Report.rule) issues) in
+  let result (i : Report.issue) =
+    let region = Json.Obj [ ("startLine", Json.Num (float_of_int i.line)) ] in
+    let physical =
+      Json.Obj [ ("artifactLocation", Json.Obj [ ("uri", str i.file) ]); ("region", region) ]
+    in
+    Json.Obj
+      [
+        ("ruleId", str i.rule);
+        ("level", str "error");
+        ("message", Json.Obj [ ("text", str i.message) ]);
+        ("locations", Json.Arr [ Json.Obj [ ("physicalLocation", physical) ] ]);
+      ]
   in
-  add "{\n";
-  add "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  add "  \"version\": \"2.1.0\",\n";
-  add "  \"runs\": [\n";
-  add "    {\n";
-  add "      \"tool\": {\n";
-  add "        \"driver\": {\n";
-  add "          \"name\": \"%s\",\n" (escape tool);
-  add "          \"rules\": [\n";
-  List.iteri
-    (fun i r ->
-      add "            {\"id\": \"%s\"}%s\n" (escape r)
-        (if i = List.length rules - 1 then "" else ","))
-    rules;
-  add "          ]\n";
-  add "        }\n";
-  add "      },\n";
-  add "      \"results\": [\n";
-  List.iteri
-    (fun i issue ->
-      add
-        "        {\"ruleId\": \"%s\", \"level\": \"error\", \"message\": {\"text\": \
-         \"%s\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": \
-         {\"uri\": \"%s\"}, \"region\": {\"startLine\": %d}}}]}%s\n"
-        (escape issue.Report.rule) (escape issue.Report.message)
-        (escape issue.Report.file) issue.Report.line
-        (if i = List.length issues - 1 then "" else ","))
-    issues;
-  add "      ]\n";
-  add "    }\n";
-  add "  ]\n";
-  add "}\n";
-  Buffer.contents buf
+  let driver =
+    Json.Obj
+      [
+        ("name", str tool);
+        ("rules", Json.Arr (List.map (fun r -> Json.Obj [ ("id", str r) ]) rules));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("$schema", str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", str "2.1.0");
+         ( "runs",
+           Json.Arr
+             [
+               Json.Obj
+                 [
+                   ("tool", Json.Obj [ ("driver", driver) ]);
+                   ("results", Json.Arr (List.map result issues));
+                 ];
+             ] );
+       ])
+  ^ "\n"
 
 let save ~tool issues ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~tool issues))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string ~tool issues))
 
 (* ------------------------------------------------------------------ *)
-(* Reading SARIF back: a minimal JSON parser (no external dependency —
-   same policy as the manifest reader) sufficient for documents this
-   module writes, and a baseline differ for CI. *)
+(* Reading SARIF back, and a baseline differ for CI. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "SARIF: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
-      pos := !pos + m;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "bad \\u escape";
-                   let code =
-                     int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                   in
-                   pos := !pos + 4;
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else Buffer.add_char buf '?' (* non-ASCII: lossy, unused *)
-               | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            advance ();
-            loop ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+let member = Json.member
 
 let issue_of_result r =
-  let str = function Some (Str s) -> Some s | _ -> None in
+  let str = function Some (Json.Str s) -> Some s | _ -> None in
   let rule = str (member "ruleId" r) in
   let message = str (Option.bind (member "message" r) (member "text")) in
   let location =
-    match member "locations" r with Some (Arr (l :: _)) -> Some l | _ -> None
+    match member "locations" r with Some (Json.Arr (l :: _)) -> Some l | _ -> None
   in
   let physical = Option.bind location (member "physicalLocation") in
   let file = str (Option.bind physical (member "artifactLocation") |> fun a -> Option.bind a (member "uri")) in
   let line =
     match Option.bind physical (member "region") |> fun r -> Option.bind r (member "startLine") with
-    | Some (Num f) -> int_of_float f
+    | Some (Json.Num f) -> int_of_float f
     | _ -> 1
   in
   match (rule, message, file) with
@@ -234,13 +65,17 @@ let issue_of_result r =
   | _ -> None
 
 let of_string text =
-  let doc = parse_json text in
+  let doc =
+    match Json.parse text with
+    | Ok doc -> doc
+    | Error e -> failwith ("SARIF: " ^ Json.error_to_string e)
+  in
   match member "runs" doc with
-  | Some (Arr runs) ->
+  | Some (Json.Arr runs) ->
       List.concat_map
         (fun run ->
           match member "results" run with
-          | Some (Arr results) -> List.filter_map issue_of_result results
+          | Some (Json.Arr results) -> List.filter_map issue_of_result results
           | _ -> [])
         runs
   | _ -> failwith "SARIF: no runs array"

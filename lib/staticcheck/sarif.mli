@@ -6,14 +6,15 @@
     the issues present. *)
 
 val to_string : tool:string -> Report.issue list -> string
-(** The complete SARIF document, valid JSON. *)
+(** The complete SARIF document, printed by {!Json.to_string}. *)
 
 val save : tool:string -> Report.issue list -> path:string -> unit
 
 val of_string : string -> Report.issue list
-(** Parses a SARIF document (hand-rolled JSON reader, no external
-    dependency) back into issues — every result of every run.  Raises
-    [Failure] on malformed input. *)
+(** Parses a SARIF document back into issues — every result of every
+    run.  Raises [Failure] on malformed JSON (the message names the byte
+    offset, as {!Json.error_to_string} prints it) or a document without a
+    [runs] array. *)
 
 val load : string -> Report.issue list
 (** {!of_string} on a file. *)

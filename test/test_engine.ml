@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine: time, heap, PRNG, simulator, vectors,
+(* Tests for the discrete-event engine: time, PRNG, simulator, vectors,
    statistics, series, tables, traces. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -44,41 +44,6 @@ let time_pp () =
   check_string "seconds" "2.500s" (Sim_time.to_string (Sim_time.of_ms 2500));
   check_string "millis" "3.000ms" (Sim_time.to_string (Sim_time.of_ms 3));
   check_string "micros" "7us" (Sim_time.to_string (Sim_time.of_us 7))
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  check_int "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  check_int "pop1" 1 (Heap.pop_exn h);
-  check_int "pop2" 3 (Heap.pop_exn h);
-  check_int "pop3" 5 (Heap.pop_exn h);
-  Alcotest.(check (option int)) "empty pop" None (Heap.pop h)
-
-let heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let heap_clear_to_list () =
-  let h = Heap.of_list ~cmp:Int.compare [ 4; 2; 9 ] in
-  check_int "to_list len" 3 (List.length (Heap.to_list h));
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let heap_sorted_property =
-  qtest "heap pops in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.of_list ~cmp:Int.compare xs in
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort Int.compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
@@ -616,13 +581,6 @@ let () =
           Alcotest.test_case "arithmetic" `Quick time_arithmetic;
           Alcotest.test_case "invalid" `Quick time_invalid;
           Alcotest.test_case "pp" `Quick time_pp;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick heap_basic;
-          Alcotest.test_case "pop_exn empty" `Quick heap_pop_exn_empty;
-          Alcotest.test_case "clear/to_list" `Quick heap_clear_to_list;
-          heap_sorted_property;
         ] );
       ( "prng",
         [

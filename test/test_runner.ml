@@ -289,13 +289,13 @@ let manifest_analyze_seconds () =
     (Manifest.of_string v1_manifest).Manifest.analyze_seconds;
   let with_timing = Runner.manifest_json ~analyze_seconds:1.25 report in
   check_bool "key present when supplied" true
-    (contains with_timing "\"analyze_seconds\": 1.250,");
+    (contains with_timing "\"analyze_seconds\": 1.25,");
   Alcotest.(check (float 1e-9)) "round-trips through the reader" 1.25
     (Manifest.of_string with_timing).Manifest.analyze_seconds;
   check_bool "strip_timings zeroes it" true
     (contains
        (Runner.manifest_json ~strip_timings:true ~analyze_seconds:1.25 report)
-       "\"analyze_seconds\": 0.000,")
+       "\"analyze_seconds\": 0,")
 
 let manifest_analyze_gate () =
   let exps = [ mexp "steady" ~seconds:2.0 ~alloc_mb:100.0 ] in

@@ -773,170 +773,16 @@ let test_fold_order () =
     "let total h = Hashtbl.fold (fun _ v acc -> acc +. v) h 0.0 (* lint:ignore \
      float-fold-order: audited *)\n"
 
-(* ----- SARIF: minimal JSON reader and round-trip ----- *)
+(* ----- SARIF: written and read back through Json ----- *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+let json_of s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.fail (Json.error_to_string e)
 
-exception Bad_json of string
+let member key v =
+  match Json.member key v with Some v -> v | None -> Alcotest.failf "no JSON member %S" key
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then (
-      pos := !pos + m;
-      v)
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "dangling escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "truncated \\u escape";
-                   let code =
-                     match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-                     | Some c -> c
-                     | None -> fail "bad \\u escape"
-                   in
-                   pos := !pos + 4;
-                   Buffer.add_char buf (if code < 128 then Char.chr code else '?')
-               | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (
-          incr pos;
-          J_obj [])
-        else
-          let members = ref [] in
-          let rec members_loop () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            members := (key, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members_loop ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected , or } in object"
-          in
-          members_loop ();
-          J_obj (List.rev !members)
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (
-          incr pos;
-          J_list [])
-        else
-          let items = ref [] in
-          let rec items_loop () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                items_loop ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected , or ] in array"
-          in
-          items_loop ();
-          J_list (List.rev !items)
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr pos
-        done;
-        if !pos = start then fail "unexpected character"
-        else (
-          match float_of_string_opt (String.sub s start (!pos - start)) with
-          | Some f -> J_num f
-          | None -> fail "bad number")
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function
-  | J_obj fields -> (
-      match List.assoc_opt key fields with
-      | Some v -> v
-      | None -> Alcotest.failf "missing JSON key %S" key)
-  | _ -> Alcotest.failf "expected an object holding %S" key
-
-let as_list = function
-  | J_list l -> l
-  | _ -> Alcotest.fail "expected a JSON array"
-
-let as_str = function
-  | J_str s -> s
-  | _ -> Alcotest.fail "expected a JSON string"
+let as_list = function Json.Arr l -> l | _ -> Alcotest.fail "expected a JSON array"
+let as_str = function Json.Str s -> s | _ -> Alcotest.fail "expected a JSON string"
 
 let sarif_results doc = as_list (member "results" (List.hd (as_list (member "runs" doc))))
 
@@ -950,7 +796,7 @@ let test_sarif_roundtrip () =
        let t_j = Sim_time.to_sec now\n"
   in
   check_int "fixture yields three issues" 3 (List.length issues);
-  let doc = parse_json (Staticcheck.Sarif.to_string ~tool:"staticcheck" issues) in
+  let doc = json_of (Staticcheck.Sarif.to_string ~tool:"staticcheck" issues) in
   check_bool "sarif version" true (as_str (member "version" doc) = "2.1.0");
   let run = List.hd (as_list (member "runs" doc)) in
   let driver = member "driver" (member "tool" run) in
@@ -968,12 +814,12 @@ let test_sarif_roundtrip () =
         (as_str (member "uri" (member "artifactLocation" phys)) = "lib/fake/fake.ml");
       check_bool "region has a line" true
         (match member "startLine" (member "region" phys) with
-        | J_num l -> l >= 1.0
+        | Json.Num l -> l >= 1.0
         | _ -> false))
     results
 
 let test_sarif_clean () =
-  let doc = parse_json (Staticcheck.Sarif.to_string ~tool:"staticcheck" []) in
+  let doc = json_of (Staticcheck.Sarif.to_string ~tool:"staticcheck" []) in
   check_int "clean report still parses, with zero results" 0
     (List.length (sarif_results doc))
 
@@ -984,7 +830,7 @@ let test_sarif_escaping () =
     { Report.file = "lib/fake/fake.ml"; line = 3; rule = "unit-arith";
       message = "tricky \"quoted\" \\ and\nnewline" }
   in
-  let doc = parse_json (Staticcheck.Sarif.to_string ~tool:"staticcheck" [ issue ]) in
+  let doc = json_of (Staticcheck.Sarif.to_string ~tool:"staticcheck" [ issue ]) in
   let msg = as_str (member "text" (member "message" (List.hd (sarif_results doc)))) in
   check_bool "message round-trips" true (msg = issue.Report.message)
 
@@ -1058,7 +904,7 @@ let test_driver_exit_code () =
   check_int "clean tree exits 0" 0 (run [ dir ]);
   write "planted.ml" "let f freq_mhz time_s = freq_mhz + time_s\n";
   check_bool "planted unit-arith exits nonzero" true (run [ "--sarif"; sarif_path; dir ] <> 0);
-  let doc = parse_json (Report.read_file sarif_path) in
+  let doc = json_of (Report.read_file sarif_path) in
   check_int "driver sarif round-trips the issue count" 1 (List.length (sarif_results doc));
   check_bool "usage error exits 2" true (run [ "--bogus"; dir ] = 2);
   check_int "--explain known rule exits 0" 0 (run [ "--explain"; "lock-discipline" ]);
@@ -1073,6 +919,17 @@ let test_driver_exit_code () =
     (run [ "--sarif-baseline"; sarif_path; dir ] <> 0);
   check_int "missing baseline file exits 2" 2
     (run [ "--sarif-baseline"; Filename.concat dir "nope.sarif"; dir ]);
+  (* a baseline that is not JSON also exits 2, and the message locates the
+     fault: the first non-hex byte of its \u escape, at offset 3 *)
+  write "bad.sarif" "\"\\uZZZZ\"";
+  let err = Filename.concat dir "err.txt" in
+  check_int "unreadable baseline exits 2" 2
+    (Sys.command
+       (Filename.quote_command exe
+          [ "--sarif-baseline"; Filename.concat dir "bad.sarif"; dir ]
+          ~stdout:Filename.null ~stderr:err));
+  check_bool "its message names the byte offset" true
+    (contains (Report.read_file err) "at offset 3");
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -1163,8 +1020,8 @@ let test_driver_alloc_determinism () =
     (String.equal (Report.read_file roots_path) "Hot.hot\nHot.sample\n");
   let timing_path = Filename.concat dir "t.json" in
   ignore (run [ "--timing"; timing_path; dir ]);
-  (match parse_json (Report.read_file timing_path) with
-  | J_obj fields ->
+  (match json_of (Report.read_file timing_path) with
+  | Json.Obj fields ->
       Alcotest.(check (list string))
         "timing file carries the total and exactly the per-pass keys"
         [
@@ -1173,7 +1030,7 @@ let test_driver_alloc_determinism () =
         ]
         (List.map fst fields);
       Alcotest.(check string) "timing schema" "dvfs-analyze-timing/1"
-        (as_str (member "schema" (J_obj fields)))
+        (as_str (member "schema" (Json.Obj fields)))
   | _ -> Alcotest.fail "timing file is not a JSON object");
   List.iter
     (fun rule ->
