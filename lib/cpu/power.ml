@@ -38,30 +38,63 @@ let voltage_ratio m table freq = voltage m table freq /. m.v_max
 let[@inline always] sec_of t = float_of_int (Sim_time.to_us t) /. 1e6
 
 module Meter = struct
-  (* The running energy total lives in an all-float sub-record: stores into
-     a flat float block are unboxed, so the per-tick accumulation allocates
-     nothing. *)
-  type acc = { mutable joules : float }
+  (* The running energy total and the memoized increments live in an
+     all-float sub-record: stores into a flat float block are unboxed, so
+     the per-tick accumulation allocates nothing. *)
+  type acc = {
+    mutable joules : float;
+    mutable idle_inc : float; (* energy of an idle tick at [memo_freq], [memo_dt] *)
+    mutable full_inc : float; (* ... and of a fully busy one *)
+  }
 
   type t = {
     model : model;
     table : Frequency.table;
     acc : acc;
     mutable elapsed : Sim_time.t;
+    mutable memo_freq : Frequency.mhz; (* -1 before the first tick *)
+    mutable memo_dt : Sim_time.t;
   }
 
   let create model table =
-    { model; table; acc = { joules = 0.0 }; elapsed = Sim_time.zero }
+    {
+      model;
+      table;
+      acc = { joules = 0.0; idle_inc = 0.0; full_inc = 0.0 };
+      elapsed = Sim_time.zero;
+      memo_freq = -1;
+      memo_dt = Sim_time.zero;
+    }
 
   let record t ~dt ~freq ~util =
     let p = watts t.model t.table ~freq ~util in
     t.acc.joules <- t.acc.joules +. (p *. sec_of dt);
     t.elapsed <- Sim_time.add t.elapsed dt
 
-  let record_busy t ~dt ~busy ~freq =
+  let[@inline always] busy_energy t ~dt ~busy ~freq =
     let util = sec_of busy /. sec_of dt in
-    let p = watts t.model t.table ~freq ~util in
-    t.acc.joules <- t.acc.joules +. (p *. sec_of dt);
+    watts t.model t.table ~freq ~util *. sec_of dt
+
+  (* Runs when the frequency or the tick length changes: the same
+     expression as a partial tick's, so the stored increments are
+     bit-identical to computing them on every tick. *)
+  let[@inline never] remember t ~dt ~freq =
+    t.acc.idle_inc <- busy_energy t ~dt ~busy:Sim_time.zero ~freq;
+    t.acc.full_inc <- busy_energy t ~dt ~busy:dt ~freq;
+    t.memo_freq <- freq;
+    t.memo_dt <- dt
+
+  (* Idle and fully busy ticks, nearly all of a run's, add a stored
+     increment; only a partial tick divides. *)
+  (* alloc: none *)
+  let record_busy t ~dt ~busy ~freq =
+    if freq <> t.memo_freq || dt <> t.memo_dt then remember t ~dt ~freq;
+    let inc =
+      if busy = Sim_time.zero then t.acc.idle_inc
+      else if busy = dt then t.acc.full_inc
+      else busy_energy t ~dt ~busy ~freq
+    in
+    t.acc.joules <- t.acc.joules +. inc;
     t.elapsed <- Sim_time.add t.elapsed dt
 
   let joules t = t.acc.joules

@@ -3,7 +3,8 @@
     A simulator owns a clock and an event queue.  Events scheduled for the
     same instant fire in scheduling order (FIFO), which keeps runs
     deterministic.  Handlers may schedule further events, including at the
-    current instant. *)
+    current instant, and cancel any event, their own included; they must
+    not step their own simulator ({!step}, {!run_until}, {!run}). *)
 
 type t
 
@@ -34,7 +35,8 @@ val cancel : t -> handle -> unit
 
 val pending : t -> int
 (** Number of {e live} events still queued.  Cancelled-but-uncollected
-    events are excluded, so the count is reliable for assertions. *)
+    events are excluded, so the count is reliable for assertions; so is a
+    periodic event while its own action runs. *)
 
 val step : t -> bool
 (** Executes the next event.  Returns [false] when the queue is empty.

@@ -41,25 +41,30 @@ let now () = Unix.gettimeofday () (* lint:ignore effect-nondet: timing metadata 
 (* One experiment, in whatever domain picked it up.  Everything the caller
    needs — including the rendered report and the failure, if any — comes
    back as an immutable [job]; an exception must never escape, or it would
-   take the whole worker (and its remaining share of the queue) with it. *)
+   take the whole worker (and its remaining share of the queue) with it.
+   The word counts are the running domain's own: [Gc.minor_words] and the
+   major count of [Gc.counters].  [Gc.quick_stat] sums what the domains
+   publish at their collections, so its deltas read 0 or another job's
+   words, and the minor count of [Gc.counters] takes the minor heap's
+   unfinished cycle at an eighth under OCaml 5.1. *)
 let run_job ~scale (e : Experiment.t) =
   let t0 = now () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
-  let g0 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
   let status, rows, rendered =
     match Experiment.run e ~scale with
     | output ->
         (Done, Sim_engine.Table.row_count output.Experiment.summary, Experiment.print_to_string output)
     | exception exn -> (Failed (Printexc.to_string exn), 0, "")
   in
-  let g1 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
   {
     id = e.Experiment.id;
     title = e.Experiment.title;
     status;
     seconds = now () -. t0;
     alloc_mb = (Gc.allocated_bytes () -. a0) /. 1_048_576.0; (* lint:ignore effect-nondet: timing metadata *)
-    minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    major_words = g1.Gc.major_words -. g0.Gc.major_words;
+    minor_words = minor1 -. minor0;
+    major_words = major1 -. major0;
     rows;
     rendered;
   }

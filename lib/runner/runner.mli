@@ -29,8 +29,8 @@ type job = {
   status : status;
   seconds : float;  (** wall clock *)
   alloc_mb : float;
-  minor_words : float;  (** minor-heap words allocated ([Gc.quick_stat] delta) *)
-  major_words : float;  (** major-heap words allocated, including promotions *)
+  minor_words : float;  (** minor-heap words allocated by the job's domain *)
+  major_words : float;  (** major-heap words allocated by it, including promotions *)
   rows : int;  (** data rows in the summary table *)
   rendered : string;  (** [Experiment.print] output; [""] when failed *)
 }

@@ -33,9 +33,11 @@ type dom_state = {
   cell_opt : Scheduler.slice option; (* [Some cell], preallocated *)
 }
 
-(* The dispatch sets are bitsets over domain indices, [word_bits] to an
-   int so every word stays non-negative; a host with more domains uses
-   more words. *)
+(* A dispatch set: a bitset over domain indices, [word_bits] to an int so
+   every word stays non-negative (a host with more domains uses more
+   words), and its member count, so that an empty set costs one test. *)
+type set = { words : int array; mutable members : int }
+
 type t = {
   account_period : Sim_time.t;
   host_capacity : int; (* physical cores: quotas are % of the whole host *)
@@ -46,9 +48,9 @@ type t = {
   any_polled : bool; (* static: some live domain's workload is polled *)
   changes : Workload.counter; (* every deferring workload's, see {!Workload.use_counter} *)
   mutable changes_seen : int; (* [changes] at the last full wake detection *)
-  ready : int array; (* capped guest, runnable and holding quota *)
-  boosted : int array; (* woke recently: dispatched ahead of the pack *)
-  uncapped_ready : int array; (* uncapped and runnable *)
+  ready : set; (* capped guest, runnable and holding quota *)
+  boosted : set; (* woke recently: dispatched ahead of the pack *)
+  uncapped_ready : set; (* uncapped and runnable *)
   mutable last_pick : int; (* index [pick] last returned; -1 before any *)
   mutable rr : int; (* round-robin pointer over capped domains *)
   mutable rr_uncapped : int;
@@ -81,11 +83,21 @@ let state t d =
   if i < 0 then invalid_arg "Sched_credit: unknown domain";
   t.doms.(i)
 
-let[@inline always] mem bits st = bits.(st.word) land st.bit <> 0
+let[@inline always] mem set st = set.words.(st.word) land st.bit <> 0
 
-let[@inline always] put bits st on =
+let[@inline always] put set st on =
   let w = st.word in
-  bits.(w) <- (if on then bits.(w) lor st.bit else bits.(w) land lnot st.bit)
+  let x = set.words.(w) in
+  if on then begin
+    if x land st.bit = 0 then begin
+      set.words.(w) <- x lor st.bit;
+      set.members <- set.members + 1
+    end
+  end
+  else if x land st.bit <> 0 then begin
+    set.words.(w) <- x land lnot st.bit;
+    set.members <- set.members - 1
+  end
 
 (* [ready] follows the state it is defined by: [charge],
    [on_account_period] and [apply_credit] move the quota, wake detection
@@ -143,9 +155,9 @@ let k_ready = 1
 let k_uncapped = 2
 
 let[@inline always] word t kind w =
-  if kind = k_boost then t.boosted.(w) land t.ready.(w)
-  else if kind = k_ready then t.ready.(w)
-  else t.uncapped_ready.(w)
+  if kind = k_boost then t.boosted.words.(w) land t.ready.words.(w)
+  else if kind = k_ready then t.ready.words.(w)
+  else t.uncapped_ready.words.(w)
 
 (* Set bits below a power of two [b < 2^62]: the bit's index. *)
 let[@inline always] bit_index b =
@@ -185,7 +197,7 @@ let search t kind exclude start =
   let i = first t exclude (x land later) base in
   if i >= 0 then i
   else begin
-    let last = Array.length t.ready - 1 in
+    let last = Array.length t.ready.words - 1 in
     let i = if ws < last then first_in_words t kind exclude (ws + 1) last else -1 in
     if i >= 0 then i
     else begin
@@ -194,10 +206,12 @@ let search t kind exclude start =
     end
   end
 
-(* The search after the round-robin pointer [ptr]. *)
-let find t kind exclude ptr =
+(* The search of [set] after the round-robin pointer [ptr]; an empty set
+   is not searched. *)
+let find t kind set exclude ptr =
   let n = Array.length t.doms in
-  if n = 0 then -1 else search t kind exclude t.doms.(if ptr + 1 >= n then 0 else ptr + 1)
+  if set.members = 0 then -1
+  else search t kind exclude t.doms.(if ptr + 1 >= n then 0 else ptr + 1)
 
 (* The per-domain slice record is reused across picks (see the contract in
    Scheduler.slice): write the cap, hand back the preallocated option. *)
@@ -215,19 +229,19 @@ let pick t ~now:_ ~remaining ~exclude =
   let i0 = find_dom0 t exclude 0 in
   if i0 >= 0 then slice_of t i0 t.doms.(i0).quota ~remaining
   else begin
-    let ib = find t k_boost exclude t.rr_boost in
+    let ib = find t k_boost t.boosted exclude t.rr_boost in
     if ib >= 0 then begin
       t.rr_boost <- ib;
       slice_of t ib t.doms.(ib).quota ~remaining
     end
     else begin
-      let ic = find t k_ready exclude t.rr in
+      let ic = find t k_ready t.ready exclude t.rr in
       if ic >= 0 then begin
         t.rr <- ic;
         slice_of t ic t.doms.(ic).quota ~remaining
       end
       else begin
-        let iu = find t k_uncapped exclude t.rr_uncapped in
+        let iu = find t k_uncapped t.uncapped_ready exclude t.rr_uncapped in
         if iu >= 0 then begin
           t.rr_uncapped <- iu;
           slice_of t iu remaining ~remaining
@@ -263,13 +277,25 @@ let charge t ~domain ~now ~used =
   refresh t st;
   if Analysis.Config.enabled () then check_quota st ~domain ~now
 
+(* The refill sets every quota, so [ready] is rebuilt a word at a time:
+   each word is written once, with the bits [refresh] would give it. *)
 (* alloc: none *)
 let on_account_period t ~now:_ =
-  for i = 0 to Array.length t.doms - 1 do
-    let st = t.doms.(i) in
-    st.quota <- st.full_quota;
-    refresh t st
-  done
+  let n = Array.length t.doms in
+  let members = ref 0 in
+  for w = 0 to Array.length t.ready.words - 1 do
+    let x = ref 0 in
+    for i = w * word_bits to Int.min n ((w + 1) * word_bits) - 1 do
+      let st = t.doms.(i) in
+      st.quota <- st.full_quota;
+      if st.capped_guest && st.was_runnable && st.quota > 0 then begin
+        x := !x lor st.bit;
+        incr members
+      end
+    done;
+    t.ready.words.(w) <- !x
+  done;
+  t.ready.members <- !members
 
 (* alloc: cold *)
 let[@inline never] check_credit d credit =
@@ -357,7 +383,7 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
     Array.of_list (List.filter (fun i -> p doms.(i)) (List.init (Array.length doms) Fun.id))
   in
   let live = indices (fun st -> Domain.may_run st.domain) in
-  let words () = Array.make ((Array.length doms / word_bits) + 1) 0 in
+  let set () = { words = Array.make ((Array.length doms / word_bits) + 1) 0; members = 0 } in
   let t =
     {
       account_period;
@@ -369,9 +395,9 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
       any_polled = Array.exists (fun i -> doms.(i).polled) live;
       changes;
       changes_seen = -1;
-      ready = words ();
-      boosted = words ();
-      uncapped_ready = words ();
+      ready = set ();
+      boosted = set ();
+      uncapped_ready = set ();
       last_pick = -1;
       rr = 0;
       rr_uncapped = 0;

@@ -204,6 +204,68 @@ let power_meter () =
   check_int "elapsed" 10_000_000 (Sim_time.to_us (Power.Meter.elapsed meter));
   check_float "mean watts" 100.0 (Power.Meter.mean_watts meter)
 
+(* [record_busy] adds a stored increment on idle and fully busy ticks.
+   Over random ticks (frequency level, tick length, idle/full/partial
+   busy time) the total must be bit-equal to accumulating, on every
+   tick, [watts] at [util = busy / dt] times [dt]. *)
+type tick = { level : int; dt_us : int; busy : [ `Idle | `Full | `Part of int ] }
+
+let gen_tick =
+  QCheck.Gen.(
+    map3
+      (fun level dt_us busy -> { level; dt_us; busy })
+      (int_range 0 7)
+      (frequency [ (8, return 1_000); (1, return 500); (1, return 2_000); (1, int_range 1 30_000) ])
+      (frequency
+         [
+           (4, return `Idle);
+           (4, return `Full);
+           (2, map (fun x -> `Part x) (int_range 1 1_000_000));
+         ]))
+
+let arbitrary_ticks =
+  QCheck.make
+    QCheck.Gen.(pair bool (list_size (int_range 1 400) gen_tick))
+    ~print:(fun (elite, ticks) ->
+      Printf.sprintf "%s: %s"
+        (if elite then "elite-8300" else "optiplex-755")
+        (String.concat "; "
+           (List.map
+              (fun t ->
+                Printf.sprintf "(%d, %d, %s)" t.level t.dt_us
+                  (match t.busy with
+                  | `Idle -> "idle"
+                  | `Full -> "full"
+                  | `Part x -> Printf.sprintf "part %d" x))
+              ticks)))
+
+let meter_memo_matches_division (elite, ticks) =
+  let arch = if elite then Arch.elite_8300 else Arch.optiplex_755 in
+  let table = arch.Arch.freq_table in
+  let levels = Frequency.levels table in
+  let model = Power.of_arch arch in
+  let meter = Power.Meter.create model table in
+  let sec t = float_of_int (Sim_time.to_us t) /. 1e6 in
+  let reference = ref 0.0 in
+  List.for_all
+    (fun t ->
+      let freq = levels.(t.level mod Array.length levels) in
+      let dt = Sim_time.of_us t.dt_us in
+      let busy =
+        match t.busy with
+        | `Idle -> Sim_time.zero
+        | `Full -> dt
+        | `Part x -> Sim_time.of_us (1 + (x mod t.dt_us))
+      in
+      Power.Meter.record_busy meter ~dt ~busy ~freq;
+      let util = sec busy /. sec dt in
+      reference := !reference +. (Power.watts model table ~freq ~util *. sec dt);
+      let got = Printf.sprintf "%h" (Power.Meter.joules meter)
+      and want = Printf.sprintf "%h" !reference in
+      if got <> want then QCheck.Test.fail_reportf "joules %s, reference %s" got want;
+      true)
+    ticks
+
 (* ------------------------------------------------------------------ *)
 (* Processor *)
 
@@ -271,6 +333,7 @@ let () =
           Alcotest.test_case "bounds" `Quick power_bounds;
           Alcotest.test_case "invalid" `Quick power_invalid;
           Alcotest.test_case "meter" `Quick power_meter;
+          qtest "memoized ticks equal the division" arbitrary_ticks meter_memo_matches_division;
         ] );
       ( "processor",
         [

@@ -3,10 +3,13 @@
    A reference scheduler — a plain unordered list scanned for the minimal
    (time, seq) entry, with the same fresh-seq discipline as [Simulator] —
    is driven through the same random interleavings of schedule / cancel /
-   recurring / run_until operations.  The firing order and the [pending]
-   count must match exactly: the heap layout, the periodic re-arm and
-   cancelled-event compaction are all implementation detail the model must
-   not be able to observe. *)
+   recurring / run_until operations.  Recurring actions act on the queue
+   too: they queue one-shots (at the current instant among others),
+   cancel other events (enough to compact the queue while they run),
+   cancel their own chain and log [pending].  The log and the [pending]
+   count must match exactly: the heap layout, the in-place periodic
+   re-arm and cancelled-event compaction are all implementation detail
+   the model must not be able to observe. *)
 
 let check_int = Alcotest.(check int)
 
@@ -18,11 +21,11 @@ let qtest ?(count = 200) name gen prop =
 
 module Model = struct
   type entry = {
-    id : int;
     mutable time : int; (* microseconds *)
     mutable seq : int;
     period : int option; (* Some p for recurring entries *)
     mutable cancelled : bool;
+    action : unit -> unit;
   }
 
   type t = {
@@ -38,8 +41,8 @@ module Model = struct
     m.next_seq <- s + 1;
     s
 
-  let schedule m ~id ~time ~period =
-    let e = { id; time; seq = fresh_seq m; period; cancelled = false } in
+  let schedule m ~time ~period action =
+    let e = { time; seq = fresh_seq m; period; cancelled = false; action } in
     m.entries <- e :: m.entries;
     e
 
@@ -60,20 +63,23 @@ module Model = struct
           | _ -> Some e)
       None m.entries
 
-  let run_until m horizon log =
+  (* A firing entry leaves the list while its action runs, so [pending]
+     does not count it; a recurring one still live after its action comes
+     back one period after the fire instant, with the seq taken then. *)
+  let run_until m horizon =
     let rec loop () =
       match next_due m horizon with
       | None -> ()
       | Some e ->
           m.clock <- max m.clock e.time;
-          log e.id;
+          m.entries <- List.filter (fun x -> x != e) m.entries;
+          e.action ();
           (match e.period with
-          | Some p ->
-              (* Mirror [Simulator.every]'s re-arm: the same entry is kept,
-                 with a fresh seq, one period after the fire instant. *)
+          | Some p when not e.cancelled ->
               e.time <- m.clock + p;
-              e.seq <- fresh_seq m
-          | None -> m.entries <- List.filter (fun x -> x != e) m.entries);
+              e.seq <- fresh_seq m;
+              m.entries <- e :: m.entries
+          | Some _ | None -> ());
           loop ()
     in
     loop ();
@@ -83,11 +89,32 @@ end
 (* ------------------------------------------------------------------ *)
 (* Operation sequences *)
 
+(* What a recurring chain's action does on each firing, besides logging
+   its id. *)
+type chain = {
+  spawn : int option; (* queue a one-shot this many µs on; 0 = the current instant *)
+  cancel_others : int; (* cancel the latest handles other than its own, up to this many *)
+  self_cancel_at : int option; (* cancel its own chain on this firing, first *)
+  log_pending : bool; (* log [pending] as the action sees it *)
+}
+
 type op =
   | Schedule of int (* delay in µs from current clock *)
-  | Recur of int (* period in µs, >= 1 *)
+  | Burst of int * int (* that many one-shots, spread over a delay in µs *)
+  | Recur of int * chain (* period in µs, >= 1 *)
   | Cancel of int (* index into the handle table, mod its size *)
   | RunFor of int (* advance the clock by this many µs *)
+
+let gen_chain =
+  QCheck.Gen.(
+    map4
+      (fun spawn cancel_others self_cancel_at log_pending ->
+        { spawn; cancel_others; self_cancel_at; log_pending })
+      (frequency
+         [ (3, return None); (1, return (Some 0)); (1, map Option.some (int_range 1 3_000)) ])
+      (frequency [ (4, return 0); (1, int_range 1 3); (1, int_range 60 150) ])
+      (frequency [ (3, return None); (1, map Option.some (int_range 1 4)) ])
+      bool)
 
 let gen_ops =
   QCheck.Gen.(
@@ -97,92 +124,166 @@ let gen_ops =
            (* Delays up to 5 s mix far one-shots with the short periodic
               chains. *)
            (5, map (fun d -> Schedule d) (int_range 0 5_000_000));
-           (2, map (fun p -> Recur p) (int_range 1 10_000));
+           (1, map2 (fun n d -> Burst (n, d)) (int_range 1 150) (int_range 0 200_000));
+           (2, map2 (fun p c -> Recur (p, c)) (int_range 1 10_000) gen_chain);
            (3, map (fun i -> Cancel i) (int_range 0 200));
            (3, map (fun d -> RunFor d) (int_range 0 50_000));
          ]))
 
+let pp_chain c =
+  Printf.sprintf "{spawn=%s; cancel_others=%d; self_cancel_at=%s; log_pending=%b}"
+    (match c.spawn with Some d -> string_of_int d | None -> "-")
+    c.cancel_others
+    (match c.self_cancel_at with Some n -> string_of_int n | None -> "-")
+    c.log_pending
+
 let pp_op = function
   | Schedule d -> Printf.sprintf "Schedule %d" d
-  | Recur p -> Printf.sprintf "Recur %d" p
+  | Burst (n, d) -> Printf.sprintf "Burst (%d, %d)" n d
+  | Recur (p, c) -> Printf.sprintf "Recur (%d, %s)" p (pp_chain c)
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | RunFor d -> Printf.sprintf "RunFor %d" d
 
 let arbitrary_ops =
   QCheck.make gen_ops ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
 
-let queue_matches_model ops =
+(* One side of the differential: the simulator or the model behind the
+   same few operations, with its own log, handle table and id counter.
+   Chain actions run inside each side's own [run_until], so the two
+   sides agree only if they fire the same events in the same order. *)
+type 'h side = {
+  now : unit -> int;
+  at : int -> (unit -> unit) -> 'h; (* absolute µs *)
+  every : int -> int -> (unit -> unit) -> 'h; (* first firing, period *)
+  cancel : 'h -> unit;
+  pending : unit -> int;
+  run_until : int -> unit;
+  mutable log : string list; (* newest first *)
+  mutable handles : (int * 'h) list; (* newest first *)
+  mutable recurring : 'h list;
+  mutable next_id : int;
+}
+
+let sim_side () =
   let sim = Simulator.create () in
-  let model = Model.create () in
-  let sim_log = ref [] and model_log = ref [] in
-  let handles = ref [] and model_handles = ref [] in
-  let recurring = ref [] and model_recurring = ref [] in
-  let next_id = ref 0 in
+  {
+    now = (fun () -> Sim_time.to_us (Simulator.now sim));
+    at = (fun time f -> Simulator.at sim (Sim_time.of_us time) f);
+    every =
+      (fun start period f ->
+        Simulator.every sim ~start:(Sim_time.of_us start) (Sim_time.of_us period) f);
+    cancel = Simulator.cancel sim;
+    pending = (fun () -> Simulator.pending sim);
+    run_until = (fun t -> Simulator.run_until sim (Sim_time.of_us t));
+    log = [];
+    handles = [];
+    recurring = [];
+    next_id = 0;
+  }
+
+let model_side () =
+  let m = Model.create () in
+  let schedule time period f = Model.schedule m ~time ~period f in
+  {
+    now = (fun () -> m.Model.clock);
+    at = (fun time f -> schedule time None f);
+    every = (fun start period f -> schedule start (Some period) f);
+    cancel = Model.cancel;
+    pending = (fun () -> Model.pending m);
+    run_until = Model.run_until m;
+    log = [];
+    handles = [];
+    recurring = [];
+    next_id = 0;
+  }
+
+let fresh_id side =
+  let id = side.next_id in
+  side.next_id <- id + 1;
+  id
+
+let schedule_one_shot side time =
+  let id = fresh_id side in
+  let h = side.at time (fun () -> side.log <- string_of_int id :: side.log) in
+  side.handles <- (id, h) :: side.handles
+
+let chain_action side ~id chain self =
+  let fires = ref 0 in
+  fun () ->
+    incr fires;
+    side.log <- string_of_int id :: side.log;
+    if chain.log_pending then
+      side.log <- Printf.sprintf "pending@%d=%d" id (side.pending ()) :: side.log;
+    Option.iter (fun d -> schedule_one_shot side (side.now () + d)) chain.spawn;
+    if chain.self_cancel_at = Some !fires then Option.iter side.cancel !self;
+    let rec cancel_latest n = function
+      | [] -> ()
+      | _ when n = 0 -> ()
+      | (other, h) :: rest ->
+          if other <> id then side.cancel h;
+          cancel_latest (if other <> id then n - 1 else n) rest
+    in
+    cancel_latest chain.cancel_others side.handles
+
+let apply side op =
+  match op with
+  | Schedule delay -> schedule_one_shot side (side.now () + delay)
+  | Burst (n, spread) ->
+      for i = 0 to n - 1 do
+        schedule_one_shot side (side.now () + (i * 7919 mod (spread + 1)))
+      done
+  | Recur (period, chain) ->
+      let id = fresh_id side in
+      let self = ref None in
+      let h = side.every (side.now () + period) period (chain_action side ~id chain self) in
+      self := Some h;
+      side.handles <- (id, h) :: side.handles;
+      side.recurring <- h :: side.recurring
+  | Cancel i ->
+      let n = List.length side.handles in
+      if n > 0 then side.cancel (snd (List.nth side.handles (i mod n)))
+  | RunFor delay -> side.run_until (side.now () + delay)
+
+let queue_matches_model ops =
+  let sim = sim_side () and model = model_side () in
   let check_point label =
-    if Simulator.pending sim <> Model.pending model then
+    if sim.pending () <> model.pending () then
       QCheck.Test.fail_reportf "pending mismatch after %s: queue %d, model %d" label
-        (Simulator.pending sim) (Model.pending model);
-    if !sim_log <> !model_log then
-      QCheck.Test.fail_reportf "firing order mismatch after %s: queue [%s], model [%s]"
-        label
-        (String.concat ";" (List.rev_map string_of_int !sim_log))
-        (String.concat ";" (List.rev_map string_of_int !model_log))
+        (sim.pending ()) (model.pending ());
+    if sim.log <> model.log then
+      QCheck.Test.fail_reportf "log mismatch after %s: queue [%s], model [%s]" label
+        (String.concat ";" (List.rev sim.log))
+        (String.concat ";" (List.rev model.log))
   in
   List.iter
     (fun op ->
-      match op with
-      | Schedule delay ->
-          let id = !next_id in
-          incr next_id;
-          let time = Sim_time.add (Simulator.now sim) (Sim_time.of_us delay) in
-          let h = Simulator.at sim time (fun () -> sim_log := id :: !sim_log) in
-          handles := h :: !handles;
-          let e =
-            Model.schedule model ~id ~time:(Sim_time.to_us time) ~period:None
-          in
-          model_handles := e :: !model_handles
-      | Recur period ->
-          let id = !next_id in
-          incr next_id;
-          let h =
-            Simulator.every sim (Sim_time.of_us period) (fun () ->
-                sim_log := id :: !sim_log)
-          in
-          handles := h :: !handles;
-          recurring := h :: !recurring;
-          let e =
-            Model.schedule model ~id
-              ~time:(Sim_time.to_us (Simulator.now sim) + period)
-              ~period:(Some period)
-          in
-          model_handles := e :: !model_handles;
-          model_recurring := e :: !model_recurring
-      | Cancel i ->
-          let hs = !handles and ms = !model_handles in
-          let n = List.length hs in
-          if n > 0 then begin
-            let i = i mod n in
-            Simulator.cancel sim (List.nth hs i);
-            Model.cancel (List.nth ms i)
-          end
-      | RunFor delay ->
-          let horizon = Sim_time.add (Simulator.now sim) (Sim_time.of_us delay) in
-          Simulator.run_until sim horizon;
-          Model.run_until model (Sim_time.to_us horizon) (fun id ->
-              model_log := id :: !model_log);
-          check_point (pp_op op))
+      apply sim op;
+      apply model op;
+      check_point (pp_op op))
     ops;
   (* Final drain: stop the recurring chains (they never terminate), then run
      far enough past the largest schedulable delay that every surviving
      one-shot fires through both schedulers. *)
-  List.iter (fun h -> Simulator.cancel sim h) !recurring;
-  List.iter Model.cancel !model_recurring;
-  let horizon = Sim_time.add (Simulator.now sim) (Sim_time.of_us 6_000_000) in
-  Simulator.run_until sim horizon;
-  Model.run_until model (Sim_time.to_us horizon) (fun id ->
-      model_log := id :: !model_log);
+  let drain side =
+    List.iter side.cancel side.recurring;
+    side.run_until (side.now () + 6_000_000)
+  in
+  drain sim;
+  drain model;
   check_point "final drain";
   true
+
+(* A chain cancels a burst of queued one-shots from its action, enough to
+   compact the queue while it runs, and logs [pending]; in the second
+   case it has cancelled its own chain first.  The fixed cases the
+   generator reaches at random. *)
+let compaction_inside_a_chain () =
+  List.iter
+    (fun self_cancel_at ->
+      let chain = { spawn = Some 0; cancel_others = 150; self_cancel_at; log_pending = true } in
+      let ops = [ Burst (150, 100_000); Recur (1_000, chain); Schedule 500; RunFor 5_000 ] in
+      Alcotest.(check bool) (pp_chain chain) true (queue_matches_model ops))
+    [ None; Some 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression: a recurring timer must survive queue compaction.  Mass
@@ -252,6 +353,35 @@ let one_shot_at_rearm_instant () =
   Alcotest.(check (list string))
     "FIFO at the re-arm instant" [ "tick1"; "one-shot"; "tick2"; "tick3" ] (List.rev !log)
 
+(* The queue must not keep a fired or cancelled event alive, nor what its
+   action captured: a cluster stops and rebuilds hosts whose chains hold
+   the whole host. *)
+let[@inline never] one_shot sim weak i time =
+  let payload = ref i in
+  Weak.set weak i (Some payload);
+  Simulator.at sim time (fun () -> incr payload)
+
+let[@inline never] cancelled_one_shot sim weak i time =
+  Simulator.cancel sim (one_shot sim weak i time)
+
+let finished_events_are_released () =
+  let sim = Simulator.create () in
+  let weak = Weak.create 102 in
+  ignore (one_shot sim weak 0 (Sim_time.of_ms 1));
+  cancelled_one_shot sim weak 1 (Sim_time.of_ms 2);
+  ignore (Simulator.every sim (Sim_time.of_ms 1) (fun () -> ()));
+  (* The 65th cancellation compacts the first 65 away; the rest stay
+     queued, dead, until their instants. *)
+  for i = 0 to 99 do
+    cancelled_one_shot sim weak (2 + i) (Sim_time.of_ms (50 + i))
+  done;
+  Simulator.run_until sim (Sim_time.of_ms 10);
+  Gc.full_major ();
+  Alcotest.(check bool) "fired one-shot released" false (Weak.check weak 0);
+  Alcotest.(check bool) "cancelled one-shot released" false (Weak.check weak 1);
+  Alcotest.(check bool) "compacted one-shot released" false (Weak.check weak 2);
+  check_int "the chain is still queued" 1 (Simulator.pending sim)
+
 let () =
   Alcotest.run "queue_model"
     [
@@ -259,6 +389,8 @@ let () =
         [
           qtest "calendar queue matches sorted-list reference" arbitrary_ops
             queue_matches_model;
+          Alcotest.test_case "compaction inside a chain's action" `Quick
+            compaction_inside_a_chain;
         ] );
       ( "regressions",
         [
@@ -266,5 +398,6 @@ let () =
           Alcotest.test_case "every cancelled by its own action" `Quick
             every_cancelled_by_own_action;
           Alcotest.test_case "one-shot at the re-arm instant" `Quick one_shot_at_rearm_instant;
+          Alcotest.test_case "finished events are released" `Quick finished_events_are_released;
         ] );
     ]

@@ -77,6 +77,48 @@ let ok_experiment id =
         { Experiment.id; title = "trivial"; summary; plots = []; frames = []; notes = [] });
   }
 
+(* A job that allocates [refs] two-word blocks on the minor heap and one
+   [array_words]-word array straight on the major heap. *)
+let allocating_experiment id ~refs ~array_words =
+  let run ~seed:_ ~scale:_ =
+    for i = 1 to refs do
+      ignore (Sys.opaque_identity (ref i))
+    done;
+    ignore (Sys.opaque_identity (Array.make array_words 0));
+    (ok_experiment id).Experiment.run ~seed:0 ~scale:1.0
+  in
+  { (ok_experiment id) with Experiment.run }
+
+(* Each job's word counts are its own, whichever domain of the pool ran
+   it: at least what it is known to allocate, and not another job's. *)
+let per_job_gc_words () =
+  let small = (100_000, 20_000) and large = (300_000, 60_000) in
+  let experiments =
+    List.map
+      (fun (id, (refs, array_words)) -> allocating_experiment id ~refs ~array_words)
+      [ ("small", small); ("large", large) ]
+  in
+  let report = Runner.run_all ~pool_size:2 ~scale:1.0 ~experiments () in
+  check_int "two domains" 2 report.Runner.pool_size;
+  let words id =
+    match List.find_opt (fun j -> j.Runner.id = id) report.Runner.jobs with
+    | Some j -> (j.Runner.minor_words, j.Runner.major_words)
+    | None -> Alcotest.failf "job %s missing" id
+  in
+  let at_least label known got =
+    if not (got >= float_of_int known) then
+      Alcotest.failf "%s: %.0f words, expected at least %d" label got known
+  in
+  List.iter
+    (fun (id, (refs, array_words)) ->
+      let minor, major = words id in
+      at_least (id ^ " minor") (2 * refs) minor;
+      at_least (id ^ " major") array_words major)
+    [ ("small", small); ("large", large) ];
+  let small_minor, small_major = words "small" and large_minor, large_major = words "large" in
+  check_bool "minor words differ" true (small_minor <> large_minor);
+  check_bool "major words differ" true (small_major <> large_major)
+
 let failure_isolation () =
   let experiments =
     [ ok_experiment "ok-a"; failing_experiment "boom"; ok_experiment "ok-b" ]
@@ -351,6 +393,7 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "failure isolation" `Quick failure_isolation;
+          Alcotest.test_case "per-job GC words on a pool" `Quick per_job_gc_words;
           Alcotest.test_case "manifest shape" `Quick manifest_shape;
           Alcotest.test_case "validation" `Quick validation;
         ] );
