@@ -444,6 +444,60 @@ let bench_dispatch_tick_dense () =
       if !ticks mod 30 = 0 then scheduler.Scheduler.on_account_period ~now:(Host.now host);
       Host.Internal.dispatch_tick host ())
 
+(* A host of Dom0 and 24 capped web guests, every one deferring, at
+   rates each guest's credit covers and staggered so that their requests
+   (0.5 ms of work each) arrive on different ticks: one every 17 to 56
+   ticks.  Driven
+   as [host/dispatch-tick-dense]: each op is one dispatch tick at the next
+   millisecond, with the 30 ms refill.  A loop tick advances only the due
+   guests and a pick asks only the listed ones and the last pick. *)
+let bench_dispatch_tick_staggered () =
+  let guest i =
+    let credit = 3.0 +. (0.125 *. float_of_int (i mod 4)) in
+    let rate = credit /. 100.0 *. (0.3 +. (0.025 *. float_of_int i)) in
+    let app =
+      Workloads.Web_app.create ~request_work:0.0005 ~timeout:(Sim_time.of_ms (200 + (37 * i)))
+        ~rate_schedule:[ (Sim_time.of_ms i, rate) ] ()
+    in
+    Domain.create ~name:(Printf.sprintf "S%02d" i) ~credit_pct:credit
+      (Workloads.Web_app.workload app)
+  in
+  let domains =
+    Domain.create ~is_dom0:true ~name:"dom0" ~credit_pct:10.0 (Workloads.Workload.idle ())
+    :: List.init 24 guest
+  in
+  let sim = Simulator.create () in
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let scheduler = Sched_credit.create domains in
+  let host = Host.create ~sim ~processor ~scheduler () in
+  Host.stop host;
+  ignore (Simulator.every sim (Sim_time.of_ms 1) (fun () -> ()));
+  let ticks = ref 0 in
+  measure ~name:"host/dispatch-tick-staggered" ~ops:100_000 ~warmup:5_000 (fun () ->
+      ignore (Simulator.step sim);
+      incr ticks;
+      if !ticks mod 30 = 0 then scheduler.Scheduler.on_account_period ~now:(Host.now host);
+      Host.Internal.dispatch_tick host ())
+
+(* A web guest ticked only at its due ticks, as a host that skips quiet
+   ticks drives it: each op credits the skipped ticks, makes the real
+   advance that injects the next request (the walk record's crossing),
+   serves the request, and lets [due] walk the carry to the next
+   crossing, 50 additions on. *)
+let bench_web_due () =
+  let app =
+    Workloads.Web_app.create ~timeout:(Sim_time.of_sec 1)
+      ~rate_schedule:[ (Sim_time.zero, 0.1) ] ()
+  in
+  let w = Workloads.Web_app.workload app in
+  let dt = Sim_time.of_ms 1 in
+  Workloads.Workload.advance w ~now:dt ~dt;
+  measure ~name:"web/due" ~ops:100_000 ~warmup:2_000 (fun () ->
+      let due = Workloads.Workload.due_at w in
+      Workloads.Workload.defer_through w ~from:Sim_time.zero ~now:(Sim_time.sub due dt) ~dt;
+      Workloads.Workload.advance w ~now:due ~dt;
+      ignore (Workloads.Workload.execute w ~now:due ~cpu_time:dt ~speed:10.0))
+
 (* Window observers are fed busy fractions the host computes, boxed once
    per call at the caller.  These cycle through a list of boxed samples
    (0 and 1 included), so words/op counts the observer's own body: the
@@ -527,6 +581,8 @@ let all_benches =
     bench_pick_charge "sedf/pick-charge" (fun d -> Sched_sedf.create d);
     bench_pick_charge "credit2/pick-charge" (fun d -> Sched_credit2.create d);
     bench_compute_new_freq;
+    bench_dispatch_tick_staggered;
+    bench_web_due;
   ]
 
 (* Paths whose steady state must not allocate, each tied to the statically
@@ -559,6 +615,11 @@ let zero_alloc_roots =
     ("web/defer", "Web_app.catch_up");
     ("pi/defer", "Pi_app.due");
     ("pi/defer", "Pi_app.catch_up");
+    ("host/dispatch-tick-staggered", "Host.dispatch_tick");
+    ("host/dispatch-tick-staggered", "Host.advance_due");
+    ("host/dispatch-tick-staggered", "Sched_credit.wake_changed");
+    ("web/due", "Web_app.due");
+    ("web/due", "Web_app.walk");
     ("pas/window", "Pas_sched.evaluate");
     ("governor/ondemand", "Ondemand.observe");
     ("governor/stable-ondemand", "Stable_ondemand.observe");

@@ -19,11 +19,12 @@ let max_freq t = t.levels.(Array.length t.levels - 1)
 
 (* The loops name their array [lv]: a parameter called [levels] would read,
    to the allocation prover's call graph, as a reference to [levels] above. *)
-let rec mem_from lv f i = i < Array.length lv && (lv.(i) = f || mem_from lv f (i + 1))
+let rec mem_from (lv : int array) (f : int) i =
+  i < Array.length lv && (lv.(i) = f || mem_from lv f (i + 1))
 
 let mem t f = mem_from t.levels f 0
 
-let rec index_from lv f i =
+let rec index_from (lv : int array) (f : int) i =
   if i >= Array.length lv then raise Not_found
   else if lv.(i) = f then i
   else index_from lv f (i + 1)

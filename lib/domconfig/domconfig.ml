@@ -83,7 +83,16 @@ let split_pairs lineno tokens =
   in
   loop [] tokens
 
-let lookup pairs key = List.assoc_opt key pairs
+(* String keys are compared with [String.equal]: [List.assoc_opt] and
+   [List.mem] would call the polymorphic compare, a C call per key, on
+   every lookup of a parse. *)
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
+let rec mem key = function [] -> false | k :: rest -> String.equal k key || mem key rest
+
+let lookup pairs key = assoc key pairs
 
 (* A finite number for which [ok] holds, else a range error naming what
    the key accepts: [build] must never see a value its constructors
@@ -118,7 +127,7 @@ let required lineno what parse = function
   | None -> fail lineno "%s" what
 
 let check_known lineno allowed pairs =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) pairs with
+  match List.find_opt (fun (k, _) -> not (mem k allowed)) pairs with
   | Some (k, _) -> fail lineno "unknown key %S (allowed: %s)" k (String.concat ", " allowed)
   | None -> Ok ()
 
@@ -139,7 +148,7 @@ let arch_of lineno value =
   | None -> fail lineno "unknown architecture %S" value
 
 let of_name lineno what table value =
-  match List.assoc_opt (String.lowercase_ascii value) table with
+  match assoc (String.lowercase_ascii value) table with
   | Some v -> Ok v
   | None -> fail lineno "unknown %s %S" what value
 
@@ -232,9 +241,11 @@ let default_host =
     domains = [];
   }
 
+let rec named name = function
+  | [] -> false
+  | (d : domain_spec) :: rest -> String.equal d.name name || named name rest
+
 let parse text =
-  (* deterministic: lookup-only table of the domain names seen so far *)
-  let names = Hashtbl.create 16 in
   let rec loop lineno host domains = function
     | [] -> (
         match domains with
@@ -259,11 +270,9 @@ let parse text =
         | "domain" :: pairs_tokens ->
             let* pairs = split_pairs lineno pairs_tokens in
             let* dom = parse_domain lineno pairs in
-            if Hashtbl.mem names dom.name then fail lineno "duplicate domain name %S" dom.name
-            else begin
-              Hashtbl.add names dom.name ();
-              loop (lineno + 1) host (dom :: domains) rest
-            end
+            if named dom.name domains then
+              fail lineno "duplicate domain name %S" dom.name
+            else loop (lineno + 1) host (dom :: domains) rest
         | directive :: _ -> fail lineno "unknown directive %S" directive)
   in
   loop 1 default_host [] (String.split_on_char '\n' text)

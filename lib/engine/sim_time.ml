@@ -9,9 +9,16 @@ let of_us n =
 let of_ms n = of_us (n * 1_000)
 let of_sec n = of_us (n * 1_000_000)
 
+(* [int_of_float (Float.round x)] without the libm call: for
+   0 <= x < 2^52 the truncation [n] and the fraction [x - n] are exact,
+   and from 2^52 on [x] is an integer, so the fraction is 0. *)
+let[@inline] round_half_away x =
+  let n = int_of_float x in
+  if x -. float_of_int n >= 0.5 then n + 1 else n
+
 let of_sec_f s =
   if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  int_of_float (Float.round (s *. 1e6))
+  round_half_away (s *. 1e6)
 
 let to_us t = t
 let[@inline] to_ms t = float_of_int t /. 1e3

@@ -18,7 +18,14 @@ val of_ms : int -> t
 val of_sec : int -> t
 
 val of_sec_f : float -> t
-(** [of_sec_f s] rounds [s] seconds to the nearest microsecond. *)
+(** [of_sec_f s] rounds [s] seconds to the nearest microsecond, halves
+    away from zero.  Raises [Invalid_argument] if [s] is negative or NaN. *)
+
+val round_half_away : float -> int
+(** [round_half_away x] is [int_of_float (Float.round x)] for
+    [0 <= x < 2^62], computed with integer truncation instead of a libm
+    call.  [of_sec_f] and the local copies of it on the simulator's hot
+    paths round this way. *)
 
 val to_us : t -> int
 val to_ms : t -> float

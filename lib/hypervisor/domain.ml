@@ -41,7 +41,9 @@ let workload t = t.workload
 
 let advancing ds =
   Array.of_list
-    (List.filter Workloads.Workload.advances (List.map (fun d -> d.workload) ds))
+    (List.fold_right
+       (fun d ws -> if Workloads.Workload.advances d.workload then d.workload :: ws else ws)
+       ds [])
 
 let may_run t = Workloads.Workload.may_work t.workload
 let runnable t = Workloads.Workload.has_work t.workload

@@ -37,8 +37,10 @@ type t = {
   absolute_series : Series.t;
   domain_metrics : domain_metrics array;
   advancing : Workloads.Workload.t array; (* see {!Domain.advancing} *)
+  dues : Sim_time.t array; (* [advancing.(i)]'s due tick, posted by it *)
+  polled_only : bool; (* static: no advancing workload defers *)
   mutable last_tick : Sim_time.t; (* the last dispatch tick's instant; -1 before any *)
-  mutable last_loop : Sim_time.t; (* the last tick that advanced [advancing]; -1 before any *)
+  mutable run_start : Sim_time.t; (* first tick of the current run [quantum] apart; -1 before any *)
   mutable next_due : Sim_time.t; (* no advancing workload is due before this tick *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
   scratch : Series.cell; (* box-free sample hand-off, reused every sample *)
@@ -105,9 +107,7 @@ let rec tick_loop t ~current ~speed ~remaining ~busy =
           (* The workload sees every tick this host skipped, then the
              execute, which may pull its due tick earlier. *)
           let w = Domain.workload domain in
-          if t.last_loop < current then
-            Workloads.Workload.defer_through w ~from:t.last_loop ~now:current
-              ~dt:t.config.quantum;
+          Workloads.Workload.defer_through w ~from:t.run_start ~now:current ~dt:t.config.quantum;
           let used = Workloads.Workload.execute w ~now:current ~cpu_time:offered ~speed in
           let due = Workloads.Workload.due_at w in
           if due < t.next_due then t.next_due <- due;
@@ -135,41 +135,74 @@ let[@inline never] check_tick_util ~current ~util =
     Analysis.Check.fail inv_tick_util ~time_s:(Sim_time.to_sec current) ~component:"host"
       (Printf.sprintf "tick utilization = %.9g outside [0, 1]" util)
 
-(* Credit every advancing workload with the ticks this host skipped since
-   its last full loop, through [last_tick]: ticks each workload's own
-   [advance] would have deferred. *)
+(* Credit every advancing workload with the ticks this host skipped in its
+   current run, through [last_tick]: ticks each workload's own [advance]
+   would have deferred. *)
 let credit_skipped t =
-  if t.last_loop < t.last_tick then
-    for i = 0 to Array.length t.advancing - 1 do
-      Workloads.Workload.defer_through t.advancing.(i) ~from:t.last_loop ~now:t.last_tick
-        ~dt:t.config.quantum
-    done
+  for i = 0 to Array.length t.advancing - 1 do
+    Workloads.Workload.defer_through t.advancing.(i) ~from:t.run_start ~now:t.last_tick
+      ~dt:t.config.quantum
+  done
 
-(* The full loop: advance every workload, after crediting the skipped
-   ticks; [next_due] becomes the earliest due tick among them. *)
+let rec min_due (dues : Sim_time.t array) i (acc : Sim_time.t) =
+  if i >= Array.length dues then acc
+  else
+    let d = Array.unsafe_get dues i in
+    min_due dues (i + 1) (if d < acc then d else acc)
+
+(* The first tick of a run (the host's first, or one after a gap or at a
+   repeated instant): advance every workload, each after crediting the
+   ticks skipped before it. *)
 let advance_all t ~current ~quantum =
-  credit_skipped t;
-  let next_due = ref Workloads.Workload.never in
   for i = 0 to Array.length t.advancing - 1 do
     let w = t.advancing.(i) in
-    Workloads.Workload.advance w ~now:current ~dt:quantum;
-    let due = Workloads.Workload.due_at w in
-    if due < !next_due then next_due := due
+    Workloads.Workload.defer_through w ~from:t.run_start ~now:t.last_tick ~dt:quantum;
+    Workloads.Workload.advance w ~now:current ~dt:quantum
   done;
-  t.next_due <- !next_due;
-  t.last_loop <- current
+  t.run_start <- current;
+  t.next_due <- (if t.polled_only then Sim_time.zero else min_due t.dues 0 Workloads.Workload.never)
+
+(* A tick of the run at or after [next_due]: advance the workloads whose
+   due tick has come, each after crediting the ticks skipped before it;
+   the others would only defer this tick and are credited later.  Each
+   workload posts its due tick to [dues], so the loop reads one int array
+   and touches only the records it advances.  Without a deferring
+   workload every one is due on every tick. *)
+(* alloc: none *)
+let advance_due t ~current ~quantum =
+  if t.polled_only then
+    for i = 0 to Array.length t.advancing - 1 do
+      Workloads.Workload.advance t.advancing.(i) ~now:current ~dt:quantum
+    done
+  else begin
+    let next_due = ref Workloads.Workload.never in
+    for i = 0 to Array.length t.dues - 1 do
+      let due =
+        if Array.unsafe_get t.dues i <= current then begin
+          let w = t.advancing.(i) in
+          Workloads.Workload.defer_through w ~from:t.run_start ~now:t.last_tick ~dt:quantum;
+          Workloads.Workload.advance w ~now:current ~dt:quantum;
+          Array.unsafe_get t.dues i
+        end
+        else Array.unsafe_get t.dues i
+      in
+      if due < !next_due then next_due := due
+    done;
+    t.next_due <- !next_due
+  end
 
 (* One dispatch tick: advance workloads, then hand out the tick to domains
-   as the scheduler directs.  A tick that directly follows the last one and
-   precedes every workload's due tick would only be deferred by each
-   [advance], so the loop is skipped and the ticks are credited later. *)
+   as the scheduler directs.  A tick that directly follows the last one
+   and precedes every workload's due tick would only be deferred by each
+   [advance], so the loop is skipped; a later tick of the run advances
+   only the due workloads.  Skipped ticks are credited later. *)
 (* alloc: none *)
 let dispatch_tick t () =
   let current = now t in
   let quantum = t.config.quantum in
   let speed = Processor.speed t.processor in
-  if not (current = t.last_tick + quantum && current < t.next_due) then
-    advance_all t ~current ~quantum;
+  if current <> t.last_tick + quantum then advance_all t ~current ~quantum
+  else if current >= t.next_due then advance_due t ~current ~quantum;
   t.last_tick <- current;
   Scheduler.Mask.clear t.exclude;
   let busy = tick_loop t ~current ~speed ~remaining:quantum ~busy:Sim_time.zero in
@@ -224,7 +257,8 @@ let sample t () =
   Series.add_cell t.absolute_series current cell
 
 let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governor () =
-  let doms = Array.of_list (scheduler.Scheduler.domains ()) in
+  let dom_list = scheduler.Scheduler.domains () in
+  let doms = Array.of_list dom_list in
   let domain_metrics =
     Array.map
       (fun d ->
@@ -236,6 +270,15 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
         })
       doms
   in
+  let advancing = Domain.advancing dom_list in
+  (* A workload that never defers is due on every tick and posts
+     nothing, so a host of such workloads keeps no due array. *)
+  let polled_only = not (Array.exists Workloads.Workload.defers advancing) in
+  let dues = if polled_only then [||] else Array.make (Array.length advancing) Sim_time.zero in
+  if not polled_only then
+    for i = 0 to Array.length advancing - 1 do
+      Workloads.Workload.post_due advancing.(i) dues i
+    done;
   let t =
     {
       sim;
@@ -249,9 +292,11 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
       global_series = Series.create ~name:"global_load";
       absolute_series = Series.create ~name:"absolute_load";
       domain_metrics;
-      advancing = Domain.advancing (Array.to_list doms);
+      advancing;
+      dues;
+      polled_only;
       last_tick = -1;
-      last_loop = -1;
+      run_start = -1;
       next_due = Sim_time.zero;
       exclude = Scheduler.Mask.create ();
       scratch = Series.cell ();

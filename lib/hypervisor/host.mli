@@ -1,14 +1,16 @@
 (** A physical host: one processor, a set of domains, a VM scheduler and
     (optionally) a DVFS governor, driven by the discrete-event simulator.
 
-    On every dispatch tick (default 1 ms) the host advances all workloads,
-    then repeatedly asks the scheduler whom to run until the tick is spent
-    or nobody runnable remains.  A tick that directly follows the previous
-    one and comes before every workload's {!Workloads.Workload.due_at}
-    would only be deferred by each workload, so the host makes no
-    [advance] call on it; it credits such ticks with
-    {!Workloads.Workload.defer_through} before it executes a workload, at
-    its next full advance loop, and in {!stop}.  Every accounting period
+    On every dispatch tick (default 1 ms) the host advances the
+    workloads, then repeatedly asks the scheduler whom to run until the
+    tick is spent or nobody runnable remains.  The first tick of a run of
+    ticks one quantum apart advances every workload.  A later tick of the
+    run advances only the workloads whose {!Workloads.Workload.due_at}
+    has come (each posts it to the host, {!Workloads.Workload.post_due}),
+    and none before the earliest of them: each other workload would only
+    defer the tick.  The host credits the ticks it skipped for a workload
+    with {!Workloads.Workload.defer_through} before it next executes or
+    advances that workload, and in {!stop}.  Every accounting period
     (Xen: 30 ms) the scheduler refreshes its credit state.  Utilization
     windows are delivered to the governor and/or the scheduler's own DVFS
     observer (PAS).

@@ -43,28 +43,32 @@ let now () = Unix.gettimeofday () (* lint:ignore effect-nondet: timing metadata 
    back as an immutable [job]; an exception must never escape, or it would
    take the whole worker (and its remaining share of the queue) with it.
    The word counts are the running domain's own: [Gc.minor_words] and the
-   major count of [Gc.counters].  [Gc.quick_stat] sums what the domains
-   publish at their collections, so its deltas read 0 or another job's
-   words, and the minor count of [Gc.counters] takes the minor heap's
-   unfinished cycle at an eighth under OCaml 5.1. *)
+   major and promoted counts of [Gc.counters].  [Gc.quick_stat] sums what
+   the domains publish at their collections, so its deltas read 0 or
+   another job's words, and the minor count of [Gc.counters] (which
+   [Gc.allocated_bytes] takes) counts the minor heap's unfinished cycle
+   at an eighth under OCaml 5.1.  [alloc_mb] is the exact word count:
+   minor plus major less promoted (words the minor count already has). *)
 let run_job ~scale (e : Experiment.t) =
-  let t0 = now () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
-  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
+  let t0 = now () in (* lint:ignore effect-nondet: timing metadata *)
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
   let status, rows, rendered =
     match Experiment.run e ~scale with
     | output ->
         (Done, Sim_engine.Table.row_count output.Experiment.summary, Experiment.print_to_string output)
     | exception exn -> (Failed (Printexc.to_string exn), 0, "")
   in
-  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in (* lint:ignore effect-nondet: timing metadata *)
+  let minor_words = minor1 -. minor0 and major_words = major1 -. major0 in
+  let words = minor_words +. major_words -. (promoted1 -. promoted0) in
   {
     id = e.Experiment.id;
     title = e.Experiment.title;
     status;
     seconds = now () -. t0;
-    alloc_mb = (Gc.allocated_bytes () -. a0) /. 1_048_576.0; (* lint:ignore effect-nondet: timing metadata *)
-    minor_words = minor1 -. minor0;
-    major_words = major1 -. major0;
+    alloc_mb = words *. float_of_int (Sys.word_size / 8) /. 1_048_576.0;
+    minor_words;
+    major_words;
     rows;
     rendered;
   }

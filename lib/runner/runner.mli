@@ -29,6 +29,8 @@ type job = {
   status : status;
   seconds : float;  (** wall clock *)
   alloc_mb : float;
+      (** MB allocated by the job's domain: minor plus major words less
+          promoted ones, times the word size *)
   minor_words : float;  (** minor-heap words allocated by the job's domain *)
   major_words : float;  (** major-heap words allocated by it, including promotions *)
   rows : int;  (** data rows in the summary table *)

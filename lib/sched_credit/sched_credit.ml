@@ -46,8 +46,8 @@ type t = {
   dom0 : int array; (* indices of the capped dom0 domains, ascending *)
   live : int array; (* indices of the domains that may ever be runnable *)
   any_polled : bool; (* static: some live domain's workload is polled *)
-  changes : Workload.counter; (* every deferring workload's, see {!Workload.use_counter} *)
-  mutable changes_seen : int; (* [changes] at the last full wake detection *)
+  changes : Workload.Changes.t; (* deferring guests that advanced or flushed since the last pick *)
+  mutable fresh : bool; (* no wake detection yet *)
   ready : set; (* capped guest, runnable and holding quota *)
   boosted : set; (* woke recently: dispatched ahead of the pack *)
   uncapped_ready : set; (* uncapped and runnable *)
@@ -68,7 +68,9 @@ let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =
   if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  Sim_time.of_us (int_of_float (Float.round (s *. 1e6)))
+  let x = s *. 1e6 in
+  let n = int_of_float x in
+  Sim_time.of_us (if x -. float_of_int n >= 0.5 then n + 1 else n)
 
 let[@inline always] quota_of t credit =
   of_sec_f (credit /. 100.0 *. sec_of t.account_period *. float_of_int t.host_capacity)
@@ -122,20 +124,35 @@ let wake t st =
     end
   end
 
+(* The listed guests, each taken off the list as it is asked. *)
+(* alloc: none *)
+let rec wake_changed t =
+  let i = Workload.Changes.pop t.changes in
+  if i >= 0 then begin
+    wake t t.doms.(i);
+    wake_changed t
+  end
+
 (* The one pass per pick that asks the workloads; the searches below read
    the sets it keeps.  Domains that can never run are not asked.  When
-   every live workload defers and none has really advanced or been
-   flushed since the last pass, the only one whose [has_work] can have
-   moved is the one the host ran since: the last pick. *)
+   every live workload defers, the only ones whose [has_work] can have
+   moved since the last pass are those that really advanced or were
+   flushed, which listed themselves, and the one the host ran since: the
+   last pick.  A fresh scheduler asks every live domain once. *)
 let detect_wakes t =
-  let changes = Workload.count t.changes in
-  if t.any_polled || changes <> t.changes_seen then begin
-    t.changes_seen <- changes;
+  if t.any_polled || t.fresh then begin
+    if t.fresh then begin
+      t.fresh <- false;
+      Workload.Changes.clear t.changes
+    end;
     for k = 0 to Array.length t.live - 1 do
       wake t t.doms.(t.live.(k))
     done
   end
-  else if t.last_pick >= 0 then wake t t.doms.(t.last_pick)
+  else begin
+    wake_changed t;
+    if t.last_pick >= 0 then wake t t.doms.(t.last_pick)
+  end
 
 let eligible_capped st exclude =
   st.was_runnable
@@ -352,7 +369,6 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
   let ids = List.map Domain.id domains in
   if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
     invalid_arg "Sched_credit.create: duplicate domains";
-  let changes = Workload.counter () in
   let doms =
     Array.of_list
       (List.mapi
@@ -360,7 +376,6 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
            let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
            let uncapped = Domain.uncapped d in
            let workload = Domain.workload d in
-           Workload.use_counter workload changes;
            {
              domain = d;
              word = i / word_bits;
@@ -380,9 +395,27 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
          domains)
   in
   let indices p =
-    Array.of_list (List.filter (fun i -> p doms.(i)) (List.init (Array.length doms) Fun.id))
+    let a = Array.make (Array.fold_left (fun n st -> if p st then n + 1 else n) 0 doms) 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun i st ->
+        if p st then begin
+          a.(!k) <- i;
+          incr k
+        end)
+      doms;
+    a
   in
   let live = indices (fun st -> Domain.may_run st.domain) in
+  let any_polled = Array.exists (fun i -> doms.(i).polled) live in
+  (* A host with a polled guest asks every live domain on every pick, so
+     it keeps no list. *)
+  let changes =
+    if any_polled then Workload.Changes.none else Workload.Changes.create (Array.length doms)
+  in
+  for i = 0 to Array.length doms - 1 do
+    Workload.report_changes doms.(i).workload changes i
+  done;
   let set () = { words = Array.make ((Array.length doms / word_bits) + 1) 0; members = 0 } in
   let t =
     {
@@ -392,9 +425,9 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
       doms;
       dom0 = indices (fun st -> Domain.is_dom0 st.domain && not st.uncapped);
       live;
-      any_polled = Array.exists (fun i -> doms.(i).polled) live;
+      any_polled;
       changes;
-      changes_seen = -1;
+      fresh = true;
       ready = set ();
       boosted = set ();
       uncapped_ready = set ();

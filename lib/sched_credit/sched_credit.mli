@@ -35,10 +35,12 @@ val make :
     [host_capacity] is the host's core count (default 1): a credit is a
     percentage of the {e whole} host, so quotas scale with it.
 
-    The scheduler gives every domain's workload a change counter of its
-    own ({!Workloads.Workload.use_counter}), so a pick can tell that no
-    deferring workload has advanced since the last one and ask only the
-    workload it picked last.  In exchange, between two picks the caller
+    When every live workload defers, the scheduler has them list
+    themselves on a list of its own when they really advance or are
+    flushed ({!Workloads.Workload.report_changes}), and a pick asks only
+    the listed workloads and the one it picked last (the first pick asks
+    every live domain).  With a polled workload, every pick asks every
+    live domain.  In exchange, between two picks the caller
     executes at most the workload of the domain the first one returned,
     as a host's dispatch loop does.  Dispatch sets are bitsets over the
     domains, 62 to a machine word, searched from the round-robin pointer

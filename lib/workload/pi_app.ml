@@ -37,7 +37,9 @@ let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =
   if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  Sim_time.of_us (int_of_float (Float.round (s *. 1e6)))
+  let x = s *. 1e6 in
+  let n = int_of_float x in
+  Sim_time.of_us (if x -. float_of_int n >= 0.5 then n + 1 else n)
 
 (* alloc: none *)
 let advance t ~now:_ ~dt =

@@ -4,9 +4,11 @@ type arrival = Deterministic | Poisson of Prng.t
    advance/execute hot paths store into a flat float block instead of
    boxing a fresh float per update of a mixed record. *)
 type acc = {
-  mutable carry : float; (* fractional request accumulation (deterministic) *)
+  mutable carry : float; (* fractional request accumulation (deterministic); at a walk's start *)
   mutable injected_work : float;
   mutable completed_work : float;
+  mutable walk_step : float; (* the walk's per-tick addition *)
+  mutable walk_last : float; (* the carry one tick before the walk's crossing *)
 }
 
 (* The FIFO work queue is a ring of parallel arrays — arrival instant and
@@ -25,6 +27,12 @@ type t = {
   mutable tail : int;
   acc : acc;
   mutable next_due : Sim_time.t; (* [due]'s answer since the last advance; 0: none *)
+  (* The walk record (see [walk]): while [walk_ticks > 0], the carry is
+     [acc.carry] plus [walk_pos] additions of [acc.walk_step]. *)
+  mutable walk_ticks : int; (* additions from the walk's start to its crossing; 0: no walk *)
+  mutable walk_pos : int; (* additions made since the walk's start, not yet applied *)
+  mutable walk_seg : int; (* the segment ... *)
+  mutable walk_dt : Sim_time.t; (* ... and tick length that fix [walk_step] *)
   mutable injected : int;
   mutable completed : int;
   mutable timed_out : int;
@@ -61,8 +69,13 @@ let create ?(request_work = 0.005) ?(arrival = Deterministic) ?timeout ~rate_sch
     remaining = [||];
     head = 0;
     tail = 0;
-    acc = { carry = 0.0; injected_work = 0.0; completed_work = 0.0 };
+    acc =
+      { carry = 0.0; injected_work = 0.0; completed_work = 0.0; walk_step = 0.0; walk_last = 0.0 };
     next_due = Sim_time.zero;
+    walk_ticks = 0;
+    walk_pos = 0;
+    walk_seg = -1;
+    walk_dt = Sim_time.zero;
     injected = 0;
     completed = 0;
     timed_out = 0;
@@ -79,7 +92,9 @@ let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =
   if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  Sim_time.of_us (int_of_float (Float.round (s *. 1e6)))
+  let x = s *. 1e6 in
+  let n = int_of_float x in
+  Sim_time.of_us (if x -. float_of_int n >= 0.5 then n + 1 else n)
 
 (* Index of the schedule segment in force at [now] (the last entry whose
    time is not after it), or -1 before the first entry.  The schedule is
@@ -152,40 +167,98 @@ let rec expire t ~now limit =
     expire t ~now limit
   end
 
+(* The walk record.  [due] finds the tick at which the carry next
+   reaches 1 by adding the per-tick step until it does: [walk_ticks]
+   additions, the last of them the crossing.  It keeps that count, the
+   step and the carry one addition before the crossing, and leaves
+   [acc.carry] at the walk's start.  Until the crossing, deferred and
+   real ticks on the walk (same segment, same tick length) only count
+   ([walk_pos]): with the carry below 1 nothing is injected and the
+   carry's subtraction is [-. 0.0], the identity.  The crossing adds the
+   step once to the recorded carry.  Reading the carry anywhere else
+   replays the counted additions from the walk's start, float for float,
+   so every value is the one the plain per-tick loop computes. *)
+
+(* The carry [walk_pos] additions into the walk: the recorded value one
+   before the crossing, else the additions from the walk's start.
+   Inlined, so the float is never boxed. *)
+let[@inline always] walk_carry t =
+  let p = t.walk_pos in
+  if p = t.walk_ticks - 1 then t.acc.walk_last
+  else begin
+    let step = t.acc.walk_step in
+    let c = ref t.acc.carry in
+    for _ = 1 to p do
+      c := !c +. step
+    done;
+    !c
+  end
+
+(* Apply the counted additions and drop the record. *)
+let end_walk t =
+  if t.walk_ticks > 0 then begin
+    t.acc.carry <- walk_carry t;
+    t.walk_ticks <- 0;
+    t.walk_pos <- 0
+  end
+
+let[@inline always] on_walk t seg dt = t.walk_ticks > 0 && seg = t.walk_seg && dt = t.walk_dt
+
 (* alloc: none *)
 let advance t ~now ~dt =
   t.next_due <- Sim_time.zero;
   (match t.timeout with None -> () | Some limit -> expire t ~now limit);
   let seg = segment_at t now in
   t.seg <- seg;
-  let rate = rate_of t seg in
-  if rate > 0.0 then begin
-    let expected = rate *. sec_of dt /. t.request_work in
-    match t.arrival with
-    | Deterministic ->
-        t.acc.carry <- t.acc.carry +. expected;
-        let n = int_of_float t.acc.carry in
-        t.acc.carry <- t.acc.carry -. float_of_int n;
-        inject t ~now n
-    | Poisson rng -> inject_poisson t rng ~now ~expected
+  if on_walk t seg dt then begin
+    let p = t.walk_pos + 1 in
+    if p < t.walk_ticks then t.walk_pos <- p
+    else begin
+      let c = t.acc.walk_last +. t.acc.walk_step in
+      t.walk_ticks <- 0;
+      t.walk_pos <- 0;
+      let n = int_of_float c in
+      t.acc.carry <- c -. float_of_int n;
+      inject t ~now n
+    end
+  end
+  else begin
+    end_walk t;
+    let rate = rate_of t seg in
+    if rate > 0.0 then begin
+      let expected = rate *. sec_of dt /. t.request_work in
+      match t.arrival with
+      | Deterministic ->
+          t.acc.carry <- t.acc.carry +. expected;
+          let n = int_of_float t.acc.carry in
+          t.acc.carry <- t.acc.carry -. float_of_int n;
+          inject t ~now n
+      | Poisson rng -> inject_poisson t rng ~now ~expected
+    end
   end
 
 (* Deferred ticks lie before the due tick, so in one schedule segment,
    with no request injected or expired: each one only added [expected] to
-   the carry, which is the loop below, float for float.  A Poisson arrival
-   with a positive rate is never deferred. *)
+   the carry.  On the walk they are counted; otherwise (a walk cut short
+   by a lookahead or another caller) they are the loop below, float for
+   float.  A Poisson arrival with a positive rate is never deferred. *)
 (* alloc: none *)
 let catch_up t ~now ~dt ~ticks =
   let seg = segment_at t now in
   t.seg <- seg;
-  let rate = rate_of t seg in
-  if rate > 0.0 then begin
-    let expected = rate *. sec_of dt /. t.request_work in
-    let c = ref t.acc.carry in
-    for _ = 1 to ticks do
-      c := !c +. expected
-    done;
-    t.acc.carry <- !c
+  if on_walk t seg dt && t.walk_pos + ticks < t.walk_ticks then
+    t.walk_pos <- t.walk_pos + ticks
+  else begin
+    let rate = rate_of t seg in
+    if rate > 0.0 then begin
+      end_walk t;
+      let expected = rate *. sec_of dt /. t.request_work in
+      let c = ref t.acc.carry in
+      for _ = 1 to ticks do
+        c := !c +. expected
+      done;
+      t.acc.carry <- !c
+    end
   end
 
 (* How far [due] looks for the carry's next crossing: a near-zero rate
@@ -193,16 +266,24 @@ let catch_up t ~now ~dt ~ticks =
    count. *)
 let lookahead_ticks = 4096
 
-(* Ticks until the carry reaches 1 when every tick adds [step]: the same
-   float additions, in the same order, that [advance] will make (with no
-   request injected, its subtraction is [carry -. 0.0], the identity). *)
-let[@inline always] ticks_to_request t step =
-  let c = ref (t.acc.carry +. step) and k = ref 1 in
+(* Record the walk from the current carry by [acc.walk_step], which the
+   caller has set: the same float additions, in the same order, that
+   [advance] will make (with no request injected, its subtraction is
+   [carry -. 0.0], the identity). *)
+(* alloc: none *)
+let walk t ~seg ~dt =
+  let step = t.acc.walk_step in
+  let before = ref t.acc.carry and c = ref (t.acc.carry +. step) and k = ref 1 in
   while int_of_float !c < 1 && !k < lookahead_ticks do
+    before := !c;
     c := !c +. step;
     incr k
   done;
-  !k
+  t.acc.walk_last <- !before;
+  t.walk_ticks <- !k;
+  t.walk_pos <- 0;
+  t.walk_seg <- seg;
+  t.walk_dt <- dt
 
 (* The first tick [now + k * dt], k >= 1, at or after [at].  [Sim_time.t]
    is the int microsecond count, so the tick arithmetic here and in [due]
@@ -215,7 +296,8 @@ let[@inline always] first_tick ~now ~dt at =
    crossing, or every tick while a Poisson arrival draws.  Until the next
    advance, the answer stands: catching up deferred ticks moves the carry
    along the very additions counted here, and [execute] only removes
-   requests, which can make the expiry later, never earlier. *)
+   requests, which can make the expiry later, never earlier.  A walk
+   already under way answers from its record. *)
 (* alloc: none *)
 let due t ~now ~dt =
   if t.next_due > now then t.next_due
@@ -237,7 +319,13 @@ let due t ~now ~dt =
       if not (rate > 0.0) then Workload.never
       else
         match t.arrival with
-        | Deterministic -> now + (ticks_to_request t (rate *. sec_of dt /. t.request_work) * dt)
+        | Deterministic ->
+            if not (on_walk t seg dt) then begin
+              end_walk t;
+              t.acc.walk_step <- rate *. sec_of dt /. t.request_work;
+              walk t ~seg ~dt
+            end;
+            now + ((t.walk_ticks - t.walk_pos) * dt)
         | Poisson _ -> now + dt
     in
     t.next_due <- Int.min edge (Int.min expiry arrival);
@@ -292,4 +380,4 @@ let completed_work t = t.acc.completed_work
 let response_times t = t.response
 
 let timed_out_requests t = t.timed_out
-let carry t = t.acc.carry
+let carry t = walk_carry t

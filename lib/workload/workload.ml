@@ -1,6 +1,42 @@
-(* Bumped by every real advance and flush of the deferring workloads that
-   share it; see {!use_counter}. *)
-type counter = { mutable count : int }
+(* The owner's list of the workloads that really advanced or were flushed
+   since it last looked, each at most once: [ids.(0 .. length - 1)] are
+   listed, and [listed] marks them.  [none] has no room, so a workload
+   reporting to it pushes nothing. *)
+module Changes = struct
+  type t = {
+    ids : int array;
+    mutable length : int; (* listed ids *)
+    listed : Bytes.t; (* ['\001'] at a listed id *)
+  }
+
+  let none = { ids = [||]; length = 0; listed = Bytes.empty }
+  let create n = { ids = Array.make n 0; length = 0; listed = Bytes.make n '\000' }
+
+  let[@inline always] push c i =
+    if i < Bytes.length c.listed && Bytes.unsafe_get c.listed i = '\000' then begin
+      Bytes.unsafe_set c.listed i '\001';
+      Array.unsafe_set c.ids c.length i;
+      c.length <- c.length + 1
+    end
+
+  let pop c =
+    if c.length = 0 then -1
+    else begin
+      c.length <- c.length - 1;
+      let i = Array.unsafe_get c.ids c.length in
+      Bytes.unsafe_set c.listed i '\000';
+      i
+    end
+
+  let clear c =
+    while pop c >= 0 do
+      ()
+    done
+end
+
+(* The array a host reads due ticks from; [no_dues] has no room, so a
+   workload posting to it stores nothing. *)
+let no_dues : Sim_time.t array = [||]
 
 type t = {
   name : string;
@@ -18,7 +54,10 @@ type t = {
   mutable step : Sim_time.t; (* step of that tick; 0 before the first *)
   mutable pending : int; (* deferred ticks, the last at [last], [step] apart *)
   mutable version : int; (* bumped by every real advance, execute and flush *)
-  mutable counter : counter; (* the owner's; bumped by every real advance and flush *)
+  mutable dues : Sim_time.t array; (* the host's, see {!post_due}; [due_at] is copied there *)
+  mutable due_slot : int; (* this workload's entry in [dues] *)
+  mutable changes : Changes.t; (* the owner's, see {!report_changes} *)
+  mutable change_id : int; (* this workload's id there *)
 }
 
 (* The one default [advance]: every workload built without an [advance]
@@ -51,7 +90,10 @@ let make ~name ?(advance = no_advance) ?(defer = (every_tick, no_catch_up)) ~has
     step = Sim_time.zero;
     pending = 0;
     version = 0;
-    counter = { count = 0 };
+    dues = no_dues;
+    due_slot = 0;
+    changes = Changes.none;
+    change_id = 0;
   }
 
 let name t = t.name
@@ -59,9 +101,28 @@ let advances t = t.advance != no_advance
 let defers t = t.due != every_tick
 let version t = t.version
 let due_at t = t.due_at
-let counter () = { count = 0 }
-let count c = c.count
-let use_counter t c = t.counter <- c
+
+let post_due t dues i =
+  if i < 0 || i >= Array.length dues then invalid_arg "Workload.post_due: slot out of range";
+  t.dues <- dues;
+  t.due_slot <- i;
+  dues.(i) <- t.due_at
+
+let report_changes t c i =
+  if i < 0 then invalid_arg "Workload.report_changes: negative id";
+  t.changes <- c;
+  t.change_id <- i
+
+(* [due_at] and its copy in the host's array move together. *)
+let[@inline always] set_due t d =
+  t.due_at <- d;
+  if t.due_slot < Array.length t.dues then Array.unsafe_set t.dues t.due_slot d
+
+(* A real advance or a flush: [has_work] may have moved. *)
+let[@inline always] changed t =
+  t.version <- t.version + 1;
+  Changes.push t.changes t.change_id
+
 let has_work t = t.has_work ()
 
 let replay t =
@@ -85,17 +146,18 @@ let advance t ~now ~dt =
     t.advance ~now ~dt;
     t.last <- now;
     t.step <- dt;
-    t.version <- t.version + 1;
-    t.counter.count <- t.counter.count + 1;
-    t.due_at <- t.due ~now ~dt
+    changed t;
+    set_due t (t.due ~now ~dt)
   end
 
 (* The ticks in [(last, now]] are ones [advance] would have deferred: the
    caller skipped them because each came before [due_at], directly after
    the one before, with the step of the last real advance.  [last >= from]
-   ties the run to the caller's own last advance of this workload. *)
-let defer_through t ~from ~now ~dt =
-  if t.due != every_tick && dt = t.step && t.last >= from && now > t.last then begin
+   ties the run to the caller's own run of ticks.  Inlined into the host,
+   so a workload that never defers, or one already ticked through [now],
+   costs a few compares and no call. *)
+let[@inline] defer_through t ~from ~now ~dt =
+  if now > t.last && t.due != every_tick && dt = t.step && t.last >= from then begin
     t.pending <- t.pending + ((now - t.last) / dt);
     t.last <- now
   end
@@ -103,9 +165,8 @@ let defer_through t ~from ~now ~dt =
 let flush t =
   if t.pending > 0 then replay t;
   if t.due != every_tick then begin
-    t.version <- t.version + 1;
-    t.counter.count <- t.counter.count + 1;
-    t.due_at <- Sim_time.zero
+    changed t;
+    set_due t Sim_time.zero
   end
 
 (* [execute] may change what [due] would answer (a pi-app that drains its
@@ -120,7 +181,7 @@ let execute t ~now ~cpu_time ~speed =
       (Printf.sprintf "Workload.execute: %s consumed more time than offered" t.name);
   if t.due != every_tick then begin
     t.version <- t.version + 1;
-    if t.step > Sim_time.zero then t.due_at <- t.due ~now:t.last ~dt:t.step
+    if t.step > Sim_time.zero then set_due t (t.due ~now:t.last ~dt:t.step)
   end;
   used
 

@@ -84,19 +84,41 @@ val version : t -> int
     answer for a version need not ask again.  Meaningless without
     [~defer]: such a workload's [has_work] may change at any time. *)
 
-type counter
-(** A change counter several workloads can share. *)
+(** The list an owner of many workloads keeps of those that may have
+    changed [has_work] since it last looked. *)
+module Changes : sig
+  type t
 
-val counter : unit -> counter
-val count : counter -> int
+  val none : t
+  (** A list with no room: a workload reporting to it lists nothing. *)
 
-val use_counter : t -> counter -> unit
-(** [use_counter w c] makes [w] bump [c] (instead of the counter {!make}
-    gave it) on every real advance and every {!flush}, when [w] was made
-    with [~defer]; executes do not bump it.  An owner of many workloads
-    that sees its counter stand still between two instants knows that
-    only the workloads it executed in between can have changed [has_work]
-    there.  A workload bumps one counter: the last one given. *)
+  val create : int -> t
+  (** An empty list for the ids [0 .. n - 1]. *)
+
+  val pop : t -> int
+  (** Takes a listed id off the list (the last listed first); -1 when
+      the list is empty.  The id may be listed again. *)
+
+  val clear : t -> unit
+  (** Takes every id off the list. *)
+end
+
+val report_changes : t -> Changes.t -> int -> unit
+(** [report_changes w c i] makes [w] list [i] on [c] at every real
+    advance and every {!flush}, when [w] was made with [~defer]; executes
+    do not list it.  An id stays listed, once, until {!Changes.pop} takes
+    it off.  An owner that executes only the workloads it picked knows
+    that, between two looks at [c], only the listed ones and those it
+    executed can have changed [has_work].  A workload reports to one
+    list: the last one given.
+    @raise Invalid_argument if [i] is negative. *)
+
+val post_due : t -> Sim_time.t array -> int -> unit
+(** [post_due w dues i] stores {!due_at} in [dues.(i)] now and whenever
+    it changes from then on, so a host that drives many workloads finds
+    the due ones by reading one int array.  A workload posts to one
+    array: the last one given.
+    @raise Invalid_argument if [i] is not an index of [dues]. *)
 
 val due_at : t -> Sim_time.t
 (** The first tick [advance] would not defer, as of the last real
@@ -112,10 +134,11 @@ val defer_through : t -> from:Sim_time.t -> now:Sim_time.t -> dt:Sim_time.t -> u
     made with [~defer], its last real advance had step [dt] and its last
     tick is at or after [from]; otherwise (or with [now] not after the
     last tick) it does nothing.  The caller vouches that each of these
-    ticks precedes {!due_at} and that nothing but {!execute} reached [w]
-    since [from], its own last {!advance} of [w]: a host that skips the
-    [advance] calls of quiet ticks credits them this way before the next
-    [advance] or [execute]. *)
+    ticks precedes {!due_at} and that since [from], the start of its own
+    run of ticks [dt] apart (at which it advanced [w]), nothing but its
+    own {!advance} and {!execute} calls reached [w]: a host that skips
+    the [advance] calls of quiet ticks credits them this way before the
+    next [advance] or [execute] of [w]. *)
 
 val advances : t -> bool
 (** False when the workload was made without an [advance] (the default

@@ -25,6 +25,50 @@ let time_of_sec_f () =
   check_int "round nearest" 1 (Sim_time.to_us (Sim_time.of_sec_f 1.4e-6));
   check_int "zero" 0 (Sim_time.to_us (Sim_time.of_sec_f 0.0))
 
+(* The truncating rounding against [Float.round]: halves (k + 0.5 rounds
+   up), the largest double below one half (which [floor (x + 0.5)] would
+   round up), values around 2^52 where doubles become integers, and
+   random values across the range, directly and through [of_sec_f]. *)
+let reference_round x = int_of_float (Float.round x)
+
+let rounding_specials =
+  let two52 = 4503599627370496.0 in
+  [ 0.0; 0.5; 1.5; 2.5; 1e6 +. 0.5; 0.49999999999999994; 1.0 -. epsilon_float;
+    0.5 +. epsilon_float; Float.pred 0.5; Float.succ 0.5; two52; Float.pred two52;
+    Float.succ two52; two52 -. 0.5; two52 -. 1.5; (two52 /. 2.0) +. 0.5;
+    Float.pred ((two52 /. 2.0) +. 0.5); 2.0 *. two52; 3e17 ]
+
+let time_round_half_away () =
+  List.iter
+    (fun x ->
+      check_int (Printf.sprintf "%h" x) (reference_round x) (Sim_time.round_half_away x);
+      check_int (Printf.sprintf "of_sec_f %h" (x /. 1e6))
+        (reference_round (x /. 1e6 *. 1e6))
+        (Sim_time.of_sec_f (x /. 1e6)))
+    rounding_specials;
+  for k = 0 to 10_000 do
+    let x = float_of_int k +. 0.5 in
+    check_int (Printf.sprintf "%d.5" k) (k + 1) (Sim_time.round_half_away x)
+  done
+
+let round_half_away_prop =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun (k, f) -> float_of_int k +. f) (pair (int_bound 1_000_000_000) (float_bound_inclusive 1.0));
+          map (fun e -> Float.ldexp 1.0 e) (int_range 0 60);
+          map (fun (e, d) -> Float.ldexp 1.0 e +. float_of_int d) (pair (int_range 50 54) (int_range (-8) 8));
+          map (fun k -> float_of_int k +. 0.5) (int_bound 1_000_000_000);
+          float_bound_inclusive 1e12;
+        ])
+  in
+  qtest ~count:2000 "round_half_away and of_sec_f equal Float.round"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x ->
+      Sim_time.round_half_away x = reference_round x
+      && Sim_time.of_sec_f (x /. 1e6) = reference_round (x /. 1e6 *. 1e6))
+
 let time_arithmetic () =
   let a = Sim_time.of_ms 10 and b = Sim_time.of_ms 4 in
   check_int "add" 14_000 (Sim_time.to_us (Sim_time.add a b));
@@ -578,6 +622,8 @@ let () =
         [
           Alcotest.test_case "conversions" `Quick time_conversions;
           Alcotest.test_case "of_sec_f" `Quick time_of_sec_f;
+          Alcotest.test_case "round half away" `Quick time_round_half_away;
+          round_half_away_prop;
           Alcotest.test_case "arithmetic" `Quick time_arithmetic;
           Alcotest.test_case "invalid" `Quick time_invalid;
           Alcotest.test_case "pp" `Quick time_pp;

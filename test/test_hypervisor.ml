@@ -253,27 +253,41 @@ let host_skips_default_advance () =
   check_int "advanced on every tick" 1000 !advanced;
   check_float_eps 0.01 "plain still runs" 0.2 (Sim_time.to_sec (Domain.cpu_time plain))
 
-(* Host-side deferral: a Credit host over deferring web and pi guests
-   against a twin whose guests are wrapped by {!Every_tick.wrap}, so the
-   twin advances every workload on every tick and its scheduler polls
-   them all.  Between random stretches of simulated time the hosts are
-   stopped and rebuilt over the same domains (mostly in the middle of a
-   run of skipped ticks), or dispatched once more at the current instant;
-   low-duty pi jobs drain their tokens on execute, which pulls their due
-   tick to the next one.  Every observation must agree after every step,
-   and the private accumulators once both sides are flushed. *)
+(* Host-side deferral: a Credit host over 12 to 24 deferring web and pi
+   guests against a twin whose guests are wrapped by {!Every_tick.wrap},
+   so the twin advances every workload on every tick and its scheduler
+   polls them all.  The web guests' load phases, rates and timeouts are
+   staggered, so their due ticks fall apart and most loops of the
+   deferring host advance a few of them.  Between random stretches of
+   simulated time the hosts are stopped and rebuilt over the same
+   domains (mostly in the middle of a run of skipped ticks; each rebuild
+   makes a fresh scheduler, whose first pick must ask every guest), or
+   dispatched once more at the current instant; low-duty pi jobs drain
+   their tokens on execute, which pulls their due tick to the next one.
+   Every observation must agree after every step, and the private
+   accumulators once both sides are flushed. *)
 let host_deferral_run seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
+  let guests = List.init (12 + int 13) (fun i -> (i, int 3 < 2)) in
   let webs =
-    List.init (1 + int 6) (fun _ ->
-        let from = 1 + int 400 and rate = 0.005 *. float_of_int (1 + int 40) in
-        ( [ (Sim_time.zero, 0.0); (ms from, rate); (ms (from + 1 + int 800), rate /. 3.0) ],
-          ms (5 + int 300) ))
+    List.filter_map
+      (fun (i, web) ->
+        if not web then None
+        else begin
+          let from = 1 + (i * 23) + int 300 and rate = 0.002 *. float_of_int (1 + (i * 3) + int 30) in
+          Some
+            ( [ (Sim_time.zero, 0.0); (ms from, rate); (ms (from + 1 + int 800), rate /. 3.0) ],
+              ms (5 + (i * 13) + int 300) )
+        end)
+      guests
   in
   let pis =
-    List.init (1 + int 4) (fun _ ->
-        (0.01 *. float_of_int (1 + int 60), 0.01 *. float_of_int (1 + int 40)))
+    List.filter_map
+      (fun (_, web) ->
+        if web then None
+        else Some (0.01 *. float_of_int (1 + int 60), 0.01 *. float_of_int (1 + int 40)))
+      guests
   in
   let side wrap =
     let web_apps =

@@ -602,6 +602,119 @@ let pi_deferral =
   qtest ~count:300 "deferring pi-app matches every-tick advance" QCheck.(int_bound 1_000_000)
     pi_deferral_run
 
+(* The walk record against the plain per-tick loop.  A model keeps the
+   fractional carry as an every-tick [advance] would: at each tick it adds
+   [rate * dt / request_work] for the rate in force and injects the whole
+   part.  The web-app behind a deferring workload must inject the same
+   number of requests by every tick (executes and timeouts, which drive
+   its due tick earlier, never touch the carry), and its carry must equal
+   the model's bit for bit once the workload has replayed its deferred
+   ticks (after an execute or a flush).  Between those, the [carry]
+   accessor may lag, but only to the model's value at an instant already
+   ticked since the last replay; reading it must change nothing. *)
+let walk_record_run seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n and chance p = Random.State.float rng 1.0 < p in
+  let request_work = List.nth [ 0.001; 0.005; 0.0123; 0.02; 0.0007 ] (int 5) in
+  let timeout = if chance 0.3 then None else Some (Sim_time.of_us (1 + int 200_000)) in
+  let rate () =
+    match int 5 with
+    | 0 -> 0.0
+    | 1 -> 1e-7 *. float_of_int (1 + int 10_000)
+    | 2 -> 0.0001 *. float_of_int (1 + int 100)
+    | _ -> 0.005 +. (0.001 *. float_of_int (int 1_500))
+  in
+  let rec schedule t n =
+    if n = 0 then []
+    else
+      let next =
+        Sim_time.add t
+          (if chance 0.5 then Sim_time.of_ms (1 + int 300) else Sim_time.of_us (1 + int 300_000))
+      in
+      (t, rate ()) :: schedule next (n - 1)
+  in
+  let rate_schedule = schedule (Sim_time.of_us (if chance 0.5 then 0 else int 3_000)) (1 + int 6) in
+  let app = Web_app.create ~request_work ?timeout ~rate_schedule () in
+  let w = Web_app.workload app in
+  (* The model. *)
+  let carry = ref 0.0 and injected = ref 0 and since_replay = ref [ 0.0 ] in
+  let model_tick ~now ~dt =
+    let rate =
+      List.fold_left (fun r (at, x) -> if Sim_time.compare at now <= 0 then x else r) 0.0 rate_schedule
+    in
+    if rate > 0.0 then begin
+      let expected = rate *. (float_of_int (Sim_time.to_us dt) /. 1e6) /. request_work in
+      carry := !carry +. expected;
+      let n = int_of_float !carry in
+      carry := !carry -. float_of_int n;
+      injected := !injected + n
+    end;
+    since_replay := !carry :: !since_replay
+  in
+  let now = ref Sim_time.zero and dt = ref (Sim_time.of_ms 1) in
+  let fail what a b =
+    QCheck.Test.fail_reportf "seed %d at %d us after %s: web-app %s, model %s" seed
+      (Sim_time.to_us !now) what a b
+  in
+  let exact what =
+    if Web_app.carry app <> !carry then
+      fail what (Printf.sprintf "carry %h" (Web_app.carry app)) (Printf.sprintf "carry %h" !carry);
+    since_replay := [ !carry ]
+  in
+  let tick () =
+    Workload.advance w ~now:!now ~dt:!dt;
+    model_tick ~now:!now ~dt:!dt
+  in
+  for _ = 1 to 2_000 do
+    let what =
+      match int 100 with
+      | k when k < 70 ->
+          now := Sim_time.add !now !dt;
+          tick ();
+          "tick"
+      | k when k < 72 ->
+          now := Sim_time.add !now (Sim_time.of_us ((2 + int 5) * Sim_time.to_us !dt));
+          tick ();
+          "gap"
+      | k when k < 74 ->
+          dt := Sim_time.of_us (List.nth [ 250; 500; 1_000; 2_000 ] (int 4));
+          now := Sim_time.add !now !dt;
+          tick ();
+          "step change"
+      | k when k < 75 ->
+          tick ();
+          "repeated instant"
+      | k when k < 87 ->
+          ignore
+            (Workload.execute w ~now:!now ~cpu_time:(Sim_time.of_us (int 3_000))
+               ~speed:(0.3 +. (0.1 *. float_of_int (int 8))));
+          exact "execute";
+          "execute"
+      | k when k < 90 ->
+          Workload.flush w;
+          exact "flush";
+          "flush"
+      | _ ->
+          let c = Web_app.carry app in
+          if not (List.exists (fun m -> m = c) !since_replay) then
+            fail "carry read" (Printf.sprintf "carry %h" c)
+              (Printf.sprintf "carries since the last replay [%s]"
+                 (String.concat "; " (List.map (Printf.sprintf "%h") !since_replay)));
+          "carry read"
+    in
+    if Web_app.injected_requests app <> !injected then
+      fail what
+        (Printf.sprintf "%d injected" (Web_app.injected_requests app))
+        (Printf.sprintf "%d injected" !injected)
+  done;
+  Workload.flush w;
+  exact "final flush";
+  true
+
+let walk_record =
+  qtest ~count:300 "walk record matches the per-tick carry loop" QCheck.(int_bound 1_000_000)
+    walk_record_run
+
 (* The segment cursor only speeds the lookup up: [current_rate] stays the
    schedule's value at any instant, earlier ones included. *)
 let web_current_rate_any_instant () =
@@ -661,6 +774,7 @@ let () =
           Alcotest.test_case "replays own instants" `Quick deferral_replays_own_instants;
           web_deferral;
           pi_deferral;
+          walk_record;
         ] );
       ( "closed_loop",
         [
