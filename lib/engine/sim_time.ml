@@ -16,9 +16,14 @@ let[@inline] round_half_away x =
   let n = int_of_float x in
   if x -. float_of_int n >= 0.5 then n + 1 else n
 
+(* One comparison pair rejects NaN (both comparisons are false), negative
+   arguments, infinity and every product at or past 2^62, where
+   [int_of_float] is unspecified. *)
 let of_sec_f s =
-  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  round_half_away (s *. 1e6)
+  let x = s *. 1e6 in
+  if not (x >= 0.0 && x < 0x1p62) then
+    invalid_arg "Sim_time.of_sec_f: negative, NaN or out of range";
+  round_half_away x
 
 let to_us t = t
 let[@inline] to_ms t = float_of_int t /. 1e3

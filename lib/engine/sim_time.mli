@@ -19,7 +19,8 @@ val of_sec : int -> t
 
 val of_sec_f : float -> t
 (** [of_sec_f s] rounds [s] seconds to the nearest microsecond, halves
-    away from zero.  Raises [Invalid_argument] if [s] is negative or NaN. *)
+    away from zero.  Raises [Invalid_argument] if [s] is negative or NaN,
+    or if [s *. 1e6] is not below 2{^62} (infinity included). *)
 
 val round_half_away : float -> int
 (** [round_half_away x] is [int_of_float (Float.round x)] for

@@ -36,8 +36,9 @@ let create ?(duty_cycle = 1.0) ~work () =
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let[@inline always] of_sec_f s =
-  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
   let x = s *. 1e6 in
+  if not (x >= 0.0 && x < 0x1p62) then
+    invalid_arg "Sim_time.of_sec_f: negative, NaN or out of range";
   let n = int_of_float x in
   Sim_time.of_us (if x -. float_of_int n >= 0.5 then n + 1 else n)
 

@@ -169,6 +169,12 @@ let flush t =
     set_due t Sim_time.zero
   end
 
+(* The error path stays out of line: [execute] is inlined into the
+   host's dispatch tick, which should not carry the [Printf] call. *)
+(* alloc: cold *)
+let[@inline never] overconsumed t =
+  invalid_arg (Printf.sprintf "Workload.execute: %s consumed more time than offered" t.name)
+
 (* [execute] may change what [due] would answer (a pi-app that drains its
    tokens must be advanced on the very next tick), so the due tick is
    recomputed from the last tick seen. *)
@@ -176,9 +182,7 @@ let execute t ~now ~cpu_time ~speed =
   if not (speed > 0.0) then invalid_arg "Workload.execute: speed must be positive";
   if t.pending > 0 then replay t;
   let used = t.execute ~now ~cpu_time ~speed in
-  if Sim_time.compare used cpu_time > 0 then
-    invalid_arg
-      (Printf.sprintf "Workload.execute: %s consumed more time than offered" t.name);
+  if Sim_time.compare used cpu_time > 0 then overconsumed t;
   if t.due != every_tick then begin
     t.version <- t.version + 1;
     if t.step > Sim_time.zero then set_due t (t.due ~now:t.last ~dt:t.step)

@@ -23,7 +23,23 @@ let time_conversions () =
 let time_of_sec_f () =
   check_int "round down" 1_500_000 (Sim_time.to_us (Sim_time.of_sec_f 1.5));
   check_int "round nearest" 1 (Sim_time.to_us (Sim_time.of_sec_f 1.4e-6));
-  check_int "zero" 0 (Sim_time.to_us (Sim_time.of_sec_f 0.0))
+  check_int "zero" 0 (Sim_time.to_us (Sim_time.of_sec_f 0.0));
+  check_int "negative zero" 0 (Sim_time.to_us (Sim_time.of_sec_f (-0.0)));
+  (* A product that is not finite or not below 2^62 has no [int_of_float]:
+     [0x1p62 /. 1e6] multiplies back to exactly 2^62. *)
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Printf.sprintf "%h" s)
+        (Invalid_argument "Sim_time.of_sec_f: negative, NaN or out of range") (fun () ->
+          ignore (Sim_time.of_sec_f s)))
+    [ infinity; neg_infinity; nan; -0.5; 1e13; 0x1p62 /. 1e6 ];
+  (* Just below the bound the conversion is [Float.round]'s. *)
+  List.iter
+    (fun s ->
+      check_int (Printf.sprintf "near bound %h" s)
+        (int_of_float (Float.round (s *. 1e6)))
+        (Sim_time.to_us (Sim_time.of_sec_f s)))
+    [ Float.pred (0x1p62 /. 1e6); 4.6e12; 1e9 +. 0.5e-6 ]
 
 (* The truncating rounding against [Float.round]: halves (k + 0.5 rounds
    up), the largest double below one half (which [floor (x + 0.5)] would

@@ -70,7 +70,8 @@ let repo_file name =
   let dir = Filename.concat (Filename.dirname Sys.executable_name) ".." in
   In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
 
-let manifests = [ "BENCH_PR2.json"; "BENCH_PR4.json"; "BENCH_PR6.json"; "BENCH_PR8.json" ]
+let manifests =
+  [ "BENCH_PR2.json"; "BENCH_PR4.json"; "BENCH_PR6.json"; "BENCH_PR8.json"; "BENCH_PR27.json" ]
 
 (* What the hand-written reader that preceded Json read from these files. *)
 let committed_files () =
@@ -89,6 +90,7 @@ let committed_files () =
       ("dvfs-bench-manifest/2", 20, 9.484, 0.0, 2480.4);
       ("dvfs-bench-manifest/2", 20, 9.876, 0.163, 2479.7);
       ("dvfs-bench-manifest/2", 21, 9.492, 0.206, 2481.2);
+      ("dvfs-bench-manifest/2", 21, 0.851, 0.387, 20.0);
     ];
   let baseline = repo_file "analysis-baseline.sarif" in
   check_int "analysis-baseline.sarif has no results" 0 (List.length (Sarif.of_string baseline));
