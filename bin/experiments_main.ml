@@ -1,6 +1,7 @@
 (* CLI runner for the paper's experiments: list them, run a selection or
-   all, optionally dumping the figure series as CSV, or profile the
-   §5.3 scenario under any scheduler, governor and load. *)
+   all, optionally dumping the figure series as CSV, profile the §5.3
+   scenario under any scheduler, governor and load, replay an xl.cfg-style
+   scenario file, or check the simulator against the M/M/c closed forms. *)
 
 open Cmdliner
 
@@ -21,6 +22,20 @@ let outdir =
     value
     & opt (some string) None
     & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Also write each figure's series as CSV.")
+
+(* Shared by run-all and validate. *)
+
+let jobs =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:"Worker pool size (default: \\$DVFS_JOBS, else the recommended domain count).")
+
+let pool_size = function Some j -> j | None -> Domconfig.default_jobs ()
+
+(* Each command says what it suppresses; run-all also takes -q. *)
+let quiet names doc = Arg.(value & flag & info names ~doc)
 
 let list_cmd =
   let doc = "List every reproduced experiment." in
@@ -101,7 +116,7 @@ let profile_cmd =
 (* run-all: the whole registry on a domain pool, with a JSON manifest. *)
 
 let run_all jobs scale manifest analyze_timing quiet =
-  let jobs = match jobs with Some j -> j | None -> Runner.default_pool_size () in
+  let jobs = pool_size jobs in
   let analyze_seconds =
     Option.map
       (fun path ->
@@ -136,13 +151,6 @@ let run_all_cmd =
      bit-identical for any $(b,--jobs) value (per-experiment seeds are derived from the \
      experiment id, and outputs print in registry order)."
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker pool size (default: \\$DVFS_JOBS, else the recommended domain count).")
-  in
   let manifest =
     Arg.(
       value
@@ -161,14 +169,165 @@ let run_all_cmd =
              static-analysis wall-time regressions.")
   in
   let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Suppress experiment outputs; print only the timing summary.")
+    quiet [ "q"; "quiet" ] "Suppress experiment outputs; print only the timing summary."
   in
   Cmd.v (Cmd.info "run-all" ~doc)
     Term.(const run_all $ jobs $ scale $ manifest $ analyze_timing $ quiet)
 
+(* xl: replay an xl.cfg-style scenario file (see Domconfig) and report
+   per domain, the "xl create && xl top" of the simulator. *)
+
+let xl_output path (built : Domconfig.built) =
+  let module Host = Hypervisor.Host in
+  let module Domain = Hypervisor.Domain in
+  let host = built.host and duration = built.duration in
+  let lo = Sim_time.of_us (Sim_time.to_us duration / 10) in
+  let summary =
+    Table.create
+      ~columns:
+        [
+          ("domain", Table.Left);
+          ("credit %", Table.Right);
+          ("mean load %", Table.Right);
+          ("mean absolute %", Table.Right);
+          ("cpu time (s)", Table.Right);
+          ("pi exec time (s)", Table.Right);
+        ]
+  in
+  List.iter
+    (fun (_, domain, app) ->
+      let pi_time =
+        match app with
+        | Domconfig.App_pi pi -> (
+            match Workloads.Pi_app.execution_time pi with
+            | Some t -> Table.cell_f (Sim_time.to_sec t)
+            | None -> "unfinished")
+        | Domconfig.App_web _ | Domconfig.App_none -> "-"
+      in
+      Table.add_row summary
+        [
+          Domain.name domain;
+          Table.cell_f1 (Domain.initial_credit domain);
+          Table.cell_f (Series.mean_between (Host.series_domain_load host domain) lo duration);
+          Table.cell_f
+            (Series.mean_between (Host.series_domain_absolute_load host domain) lo duration);
+          Table.cell_f (Sim_time.to_sec (Domain.cpu_time domain));
+          pi_time;
+        ])
+    built.domains;
+  let loads = Plot.create ~y_min:0.0 ~y_max:100.0 ~title:"domain loads (%)" () in
+  List.iter
+    (fun ((spec : Domconfig.domain_spec), domain, _) ->
+      if not spec.dom0 then Plot.add loads (Host.series_domain_load host domain))
+    built.domains;
+  let frequency = Plot.create ~title:"frequency (MHz)" () in
+  Plot.add frequency (Host.series_frequency host);
+  {
+    Experiments.Experiment.id = "xl";
+    title = path;
+    summary;
+    plots = [ loads; frequency ];
+    frames = [];
+    notes =
+      [
+        Printf.sprintf "final frequency: %d MHz   energy: %.1f kJ   mean power: %.1f W"
+          (Cpu_model.Processor.current_freq (Host.processor host))
+          (Host.energy_joules host /. 1000.0)
+          (Host.mean_watts host);
+      ];
+  }
+
+let xl path =
+  match Domconfig.parse_file path with
+  | Error msg ->
+      Printf.eprintf "%s: %s\n" path msg;
+      exit 1
+  | Ok config ->
+      Format.printf "parsed configuration:@.%a@." Domconfig.pp_spec config;
+      let built = Domconfig.build config in
+      Hypervisor.Host.run_for built.host built.duration;
+      Experiments.Experiment.print Format.std_formatter (xl_output path built)
+
+let xl_cmd =
+  let doc = "Replay an xl.cfg-style scenario file and report per domain, with plots." in
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Scenario file.")
+  in
+  Cmd.v (Cmd.info "xl" ~doc) Term.(const xl $ file)
+
+(* validate: the measured-vs-analytic M/M/c sweep.  Exit status 1 when
+   any point disagrees, so `dune build @validate` fails loudly. *)
+
+let validate full jobs horizon warmup csv quiet =
+  let jobs = pool_size jobs in
+  let points = if full then Validate.Sweep.default_grid else Validate.Sweep.quick_grid in
+  let results =
+    try Validate.Sweep.run_grid ~jobs ?horizon ?warmup points
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  if not quiet then begin
+    print_string (Table.render (Validate.Sweep.table results));
+    Printf.printf
+      "%d points, %d jobs; starred columns are the analytic targets; a point\n\
+       agrees when each metric is within 3x its batch-means 95%% CI + 5%%\n\
+       relative + a dispatch-tick floor of the closed form.\n"
+      (List.length points) jobs
+  end;
+  (match csv with
+  | Some path ->
+      Out_channel.with_open_text path (fun out ->
+          output_string out (Validate.Sweep.to_csv results));
+      if not quiet then Printf.printf "wrote %s\n" path
+  | None -> ());
+  match Validate.Sweep.failures results with
+  | [] -> ()
+  | bad ->
+      List.iter
+        (fun r -> Printf.eprintf "DISAGREES %s\n" (Validate.Sweep.point_key r.Validate.Sweep.point))
+        bad;
+      exit 1
+
+let validate_cmd =
+  let doc =
+    "Validate the simulator against M/M/1 / M/M/c closed forms.  Runs an open-loop \
+     Poisson workload through the real host (credit scheduler + pinned DVFS governor) \
+     and compares measured utilization, sojourn time, and queue length with the \
+     analytic oracle, whose service rate uses the $(b,ratio*cf) effective capacity.  \
+     Deterministic: per-point seeds derive from the point parameters, so output is \
+     bit-identical for any $(b,--jobs) value."
+  in
+  let full =
+    Arg.(
+      value & flag
+      & info [ "full" ] ~doc:"Run the full 36-point grid instead of the quick 3-point sweep.")
+  in
+  let horizon =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "horizon" ] ~docv:"SECONDS"
+          ~doc:"Measured simulated seconds per point (default 300).")
+  in
+  let warmup =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "warmup" ] ~docv:"SECONDS"
+          ~doc:"Discarded simulated seconds per point before measuring (default 30).")
+  in
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"PATH" ~doc:"Also write every point's metrics as CSV.")
+  in
+  let quiet = quiet [ "quiet" ] "Suppress the table; only set the exit status." in
+  Cmd.v (Cmd.info "validate" ~doc)
+    Term.(const validate $ full $ jobs $ horizon $ warmup $ csv $ quiet)
+
 let () =
   let doc = "Reproduction experiments for 'DVFS Aware CPU Credit Enforcement'" in
   let info = Cmd.info "dvfs-experiments" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; profile_cmd; run_all_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; profile_cmd; run_all_cmd; xl_cmd; validate_cmd ]))

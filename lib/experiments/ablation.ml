@@ -2,33 +2,22 @@ module Domain = Hypervisor.Domain
 module Host = Hypervisor.Host
 module Processor = Cpu_model.Processor
 
-(* The reactivity scenario: V20 thrashes from the start; V70 is active until
-   [switch], after which the host empties, the frequency drops, and the PAS
-   variant under test must promptly raise V20's credit. *)
+(* The reactivity scenario ([Scenario.run_switch]): once V70 goes idle at
+   [switch] the frequency drops, and the PAS variant under test must
+   promptly raise V20's credit. *)
 let implementation_run ~seed:_ ~scale =
   let t sec = Sim_time.of_sec_f (sec *. scale) in
   let switch = t 600.0 and duration = t 1200.0 in
   let run_variant name build =
-    let sim = Simulator.create () in
-    let processor = Processor.create Cpu_model.Arch.optiplex_755 in
-    let v20_app =
-      Workloads.Web_app.create ~rate_schedule:(Workloads.Phases.constant ~rate:1.0) ()
+    let host, v20 =
+      Scenario.run_switch ~switch ~duration ~build_host:(fun domains ->
+          let sim = Simulator.create () in
+          let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+          let scheduler, governor, arm_daemon = build sim processor domains in
+          let host = Host.create ~sim ~processor ~scheduler ?governor () in
+          arm_daemon host scheduler;
+          host)
     in
-    let v20 = Domain.create ~name:"V20" ~credit_pct:20.0 (Workloads.Web_app.workload v20_app) in
-    let v70_app =
-      Workloads.Web_app.create
-        ~rate_schedule:
-          (Workloads.Phases.three_phase ~active_from:(Sim_time.of_us 1) ~active_until:switch
-             ~rate:0.70)
-        ()
-    in
-    let v70 = Domain.create ~name:"V70" ~credit_pct:70.0 (Workloads.Web_app.workload v70_app) in
-    let dom0 = Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workloads.Workload.idle ()) in
-    let domains = [ dom0; v20; v70 ] in
-    let scheduler, governor, arm_daemon = build sim processor domains in
-    let host = Host.create ~sim ~processor ~scheduler ?governor () in
-    arm_daemon host scheduler;
-    Host.run_for host duration;
     let transition = Scenario.deficit_between host v20 switch (t 660.0) in
     let steady = Scenario.deficit_between host v20 (t 660.0) (t 1150.0) in
     (name, transition, steady)

@@ -10,6 +10,21 @@ let pinned_processor arch freq =
   in
   Processor.create ~init_freq:freq arch
 
+let pi_to_completion ~now ~run_for ~chunk ~limit ~failure pi =
+  let rec loop () =
+    if Workloads.Pi_app.finished pi then ()
+    else if Sim_time.compare (now ()) limit >= 0 then failwith failure
+    else begin
+      run_for chunk;
+      loop ()
+    end
+  in
+  loop ();
+  match Workloads.Pi_app.execution_time pi with
+  | Some t -> t
+  (* unreachable: the loop above runs until the pi app finishes. *)
+  | None -> assert false
+
 let run_pi ?(arch = Cpu_model.Arch.optiplex_755) ?freq ?(credit = 100.0) ?(duty_cycle = 1.0)
     ?(max_sim_time = Sim_time.of_sec 20_000) ~work () =
   let sim = Simulator.create () in
@@ -19,21 +34,11 @@ let run_pi ?(arch = Cpu_model.Arch.optiplex_755) ?freq ?(credit = 100.0) ?(duty_
   let dom0 = Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workloads.Workload.idle ()) in
   let scheduler = Sched_credit.create [ dom0; vm ] in
   let host = Host.create ~sim ~processor ~scheduler () in
-  let chunk = Sim_time.of_sec 10 in
-  let rec loop () =
-    if Workloads.Pi_app.finished pi then ()
-    else if Sim_time.compare (Host.now host) max_sim_time >= 0 then
-      failwith "Rig.run_pi: job did not finish in time"
-    else begin
-      Host.run_for host chunk;
-      loop ()
-    end
-  in
-  loop ();
-  match Workloads.Pi_app.execution_time pi with
-  | Some t -> Sim_time.to_sec t
-  (* unreachable: the loop above runs until the pi app finishes. *)
-  | None -> assert false
+  Sim_time.to_sec
+    (pi_to_completion
+       ~now:(fun () -> Host.now host)
+       ~run_for:(Host.run_for host) ~chunk:(Sim_time.of_sec 10) ~limit:max_sim_time
+       ~failure:"Rig.run_pi: job did not finish in time" pi)
 
 let measure_load ?(arch = Cpu_model.Arch.optiplex_755) ?freq ?(warmup = Sim_time.of_sec 60)
     ?(measure = Sim_time.of_sec 240) ~rate () =

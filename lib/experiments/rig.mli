@@ -2,6 +2,19 @@
     Table 2 experiments: single-purpose hosts with the frequency pinned or a
     specific governor, returning one scalar measurement. *)
 
+val pi_to_completion :
+  now:(unit -> Sim_time.t) ->
+  run_for:(Sim_time.t -> unit) ->
+  chunk:Sim_time.t ->
+  limit:Sim_time.t ->
+  failure:string ->
+  Workloads.Pi_app.t ->
+  Sim_time.t
+(** Runs a host ([now] and [run_for] are its clock and its run) [chunk]
+    at a time until the pi app finishes; returns the app's execution time.
+    @raise Failure with [failure] once the clock reaches [limit] with the
+    app unfinished. *)
+
 val run_pi :
   ?arch:Cpu_model.Arch.t ->
   ?freq:Cpu_model.Frequency.mhz ->

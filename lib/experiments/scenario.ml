@@ -123,3 +123,19 @@ let deficit_between host d lo hi =
 let sla_deficit r d =
   let lo, hi = scaled_inner r (if Domain.equal d r.v20 then v20_window else v70_window) in
   deficit_between r.built.host d lo hi
+
+let run_switch ~switch ~duration ~build_host =
+  let web name credit rate_schedule =
+    let app = Workloads.Web_app.create ~rate_schedule () in
+    Domain.create ~name ~credit_pct:credit (Workloads.Web_app.workload app)
+  in
+  let v20 = web "V20" 20.0 (Workloads.Phases.constant ~rate:1.0) in
+  let v70 =
+    web "V70" 70.0
+      (Workloads.Phases.three_phase ~active_from:(Sim_time.of_us 1) ~active_until:switch
+         ~rate:0.70)
+  in
+  let dom0 = Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workloads.Workload.idle ()) in
+  let host = build_host [ dom0; v20; v70 ] in
+  Host.run_for host duration;
+  (host, v20)

@@ -27,7 +27,7 @@ val spec :
 val config : spec -> Domconfig.t
 (** The scenario as a host configuration: Dom0, V20 and V70 as phased
     [web] domains with the scaled timeline.  Printed with
-    {!Domconfig.pp_spec}, it replays under [xl_run]. *)
+    {!Domconfig.pp_spec}, it replays under [experiments_main xl]. *)
 
 type phase = A | B | C
 
@@ -66,3 +66,13 @@ val deficit_between :
 val sla_deficit : result -> Hypervisor.Domain.t -> float
 (** {!deficit_between} over the inner 80 % of the domain's active window —
     the QoS-violation measure motivating the paper. *)
+
+val run_switch :
+  switch:Sim_time.t ->
+  duration:Sim_time.t ->
+  build_host:(Hypervisor.Domain.t list -> Hypervisor.Host.t) ->
+  Hypervisor.Host.t * Hypervisor.Domain.t
+(** The ablations' reactivity scenario: V20 thrashes throughout, V70 is
+    busy until [switch] and then idle, so the host empties and the
+    frequency drops; Dom0 idles.  [build_host] gets Dom0, V20 and V70 in
+    that order; the host is run for [duration].  Returns it and V20. *)

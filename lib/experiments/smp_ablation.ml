@@ -53,23 +53,16 @@ let run_config c ~scale =
     | `Pas -> Pas.Pas_smp.policy (Option.get pas)
   in
   let host = Smp_host.create ~sim ~smp ~scheduler ~dvfs () in
-  let limit = Sim_time.of_sec_f (4000.0 *. scale) in
-  let chunk = Sim_time.of_sec_f (Float.max 1.0 (5.0 *. scale)) in
-  let rec loop () =
-    if Workloads.Pi_app.finished pi then ()
-    else if Sim_time.compare (Smp_host.now host) limit >= 0 then
-      failwith ("Smp_ablation: pi-app did not finish under " ^ c.label)
-    else begin
-      Smp_host.run_for host chunk;
-      loop ()
-    end
-  in
-  loop ();
   let exec_time =
-    match Workloads.Pi_app.execution_time pi with
-    | Some t -> Sim_time.to_sec t /. scale
-    (* unreachable: the loop above runs until the pi app finishes. *)
-    | None -> assert false
+    Sim_time.to_sec
+      (Rig.pi_to_completion
+         ~now:(fun () -> Smp_host.now host)
+         ~run_for:(Smp_host.run_for host)
+         ~chunk:(Sim_time.of_sec_f (Float.max 1.0 (5.0 *. scale)))
+         ~limit:(Sim_time.of_sec_f (4000.0 *. scale))
+         ~failure:("Smp_ablation: pi-app did not finish under " ^ c.label)
+         pi)
+    /. scale
   in
   let transitions = Smp.transitions smp in
   (exec_time, Smp_host.mean_watts host, transitions)

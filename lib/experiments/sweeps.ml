@@ -2,42 +2,6 @@ module Domain = Hypervisor.Domain
 module Host = Hypervisor.Host
 module Processor = Cpu_model.Processor
 
-(* Shared scenario: V20 thrashes throughout; V70 is busy then goes idle at
-   [switch], forcing a frequency drop that the policy must compensate. *)
-let transition_scenario ~scale ~build_host =
-  let t sec = Sim_time.of_sec_f (sec *. scale) in
-  let switch = t 300.0 and duration = t 600.0 in
-  let v20_app =
-    Workloads.Web_app.create ~rate_schedule:(Workloads.Phases.constant ~rate:1.0) ()
-  in
-  let v20 = Domain.create ~name:"V20" ~credit_pct:20.0 (Workloads.Web_app.workload v20_app) in
-  let v70_app =
-    Workloads.Web_app.create
-      ~rate_schedule:
-        (Workloads.Phases.three_phase ~active_from:(Sim_time.of_us 1) ~active_until:switch
-           ~rate:0.70)
-      ()
-  in
-  let v70 = Domain.create ~name:"V70" ~credit_pct:70.0 (Workloads.Web_app.workload v70_app) in
-  let dom0 = Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workloads.Workload.idle ()) in
-  let host = build_host [ dom0; v20; v70 ] in
-  Host.run_for host duration;
-  (host, v20, switch, duration)
-
-let deficit_between host domain lo hi =
-  let series = Host.series_domain_absolute_load host domain in
-  let credit = Domain.initial_credit domain in
-  let times = Series.times series and values = Series.values series in
-  let sum = ref 0.0 and n = ref 0 in
-  Array.iteri
-    (fun i time ->
-      if Sim_time.compare time lo >= 0 && Sim_time.compare time hi <= 0 then begin
-        sum := !sum +. Float.max 0.0 (credit -. values.(i));
-        incr n
-      end)
-    times;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
 let pas_window_run ~seed:_ ~scale =
   let windows = [ 30; 100; 300; 1000 ] in
   let summary =
@@ -50,11 +14,13 @@ let pas_window_run ~seed:_ ~scale =
           ("PAS evaluations", Table.Right);
         ]
   in
+  let t sec = Sim_time.of_sec_f (sec *. scale) in
+  let switch = t 300.0 and duration = t 600.0 in
   List.iter
     (fun window_ms ->
       let pas_ref = ref None in
-      let host, v20, switch, duration =
-        transition_scenario ~scale ~build_host:(fun domains ->
+      let host, v20 =
+        Scenario.run_switch ~switch ~duration ~build_host:(fun domains ->
             let sim = Simulator.create () in
             let processor = Processor.create Cpu_model.Arch.optiplex_755 in
             let pas =
@@ -68,8 +34,8 @@ let pas_window_run ~seed:_ ~scale =
       Table.add_row summary
         [
           string_of_int window_ms;
-          Table.cell_f (deficit_between host v20 switch after);
-          Table.cell_f (deficit_between host v20 steady_from duration);
+          Table.cell_f (Scenario.deficit_between host v20 switch after);
+          Table.cell_f (Scenario.deficit_between host v20 steady_from duration);
           string_of_int
             (match !pas_ref with Some p -> Pas.Pas_sched.evaluations p | None -> 0);
         ])

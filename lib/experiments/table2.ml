@@ -40,22 +40,16 @@ let run_one platform ~mode ~scale =
     Host.create ~sim ~processor ~scheduler:instance.Platform.scheduler
       ?governor:instance.Platform.governor ()
   in
-  let limit = Sim_time.of_sec_f (20_000.0 *. scale) in
-  let chunk = Sim_time.of_sec_f (Float.max 1.0 (10.0 *. scale)) in
-  let rec loop () =
-    if Workloads.Pi_app.finished pi then ()
-    else if Sim_time.compare (Host.now host) limit >= 0 then
-      failwith ("Table2: pi-app did not finish on " ^ platform.Platform.name)
-    else begin
-      Host.run_for host chunk;
-      loop ()
-    end
-  in
-  loop ();
-  match Workloads.Pi_app.execution_time pi with
-  | Some t -> Sim_time.to_sec t /. scale (* normalise back to paper-scale seconds *)
-  (* unreachable: the loop above runs until the pi app finishes. *)
-  | None -> assert false
+  (* normalised back to paper-scale seconds *)
+  Sim_time.to_sec
+    (Rig.pi_to_completion
+       ~now:(fun () -> Host.now host)
+       ~run_for:(Host.run_for host)
+       ~chunk:(Sim_time.of_sec_f (Float.max 1.0 (10.0 *. scale)))
+       ~limit:(Sim_time.of_sec_f (20_000.0 *. scale))
+       ~failure:("Table2: pi-app did not finish on " ^ platform.Platform.name)
+       pi)
+  /. scale
 
 let run ~seed:_ ~scale =
   let summary =

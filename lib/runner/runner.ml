@@ -25,13 +25,6 @@ type report = {
 let failures r =
   List.filter_map (fun j -> match j.status with Failed m -> Some (j.id, m) | Done -> None) r.jobs
 
-let jobs_env_var = Domconfig.jobs_env_var
-
-(* Delegates to the blessed config loader, which captured $DVFS_JOBS and
-   the machine topology once at startup — keeps the pool sizing out of
-   the effect pass's simulation-reachable ambient reads. *)
-let default_pool_size () = Domconfig.default_jobs ()
-
 (* Wall clock and GC counters below feed timing metadata only
    (job seconds/alloc in reports and manifests); [strip_timings] zeroes
    them before any byte-for-byte comparison, so they are deliberately
@@ -40,8 +33,8 @@ let now () = Unix.gettimeofday () (* lint:ignore effect-nondet: timing metadata 
 
 (* One experiment, in whatever domain picked it up.  Everything the caller
    needs — including the rendered report and the failure, if any — comes
-   back as an immutable [job]; an exception must never escape, or it would
-   take the whole worker (and its remaining share of the queue) with it.
+   back as an immutable [job]; an exception must never escape, or the pool
+   would stop claiming jobs and the whole run would raise it.
    The word counts are the running domain's own: [Gc.minor_words] and the
    major and promoted counts of [Gc.counters].  [Gc.quick_stat] sums what
    the domains publish at their collections, so its deltas read 0 or
@@ -75,51 +68,18 @@ let run_job ~scale (e : Experiment.t) =
 
 let run_all ?pool_size ?(scale = 1.0) ?experiments () =
   if not (scale > 0.0) then invalid_arg "Runner.run_all: scale must be positive";
-  let experiments =
-    Array.of_list (match experiments with Some es -> es | None -> Experiments.Registry.all)
-  in
-  let n = Array.length experiments in
-  let requested = match pool_size with Some p -> p | None -> default_pool_size () in
+  let experiments = match experiments with Some es -> es | None -> Experiments.Registry.all in
+  (* Delegates to the blessed config loader, which captured $DVFS_JOBS and
+     the machine topology once at startup — keeps the pool sizing out of
+     the effect pass's simulation-reachable ambient reads. *)
+  let requested = match pool_size with Some p -> p | None -> Domconfig.default_jobs () in
   if requested < 1 then invalid_arg "Runner.run_all: pool_size must be positive";
-  let pool_size = Stdlib.min requested (Stdlib.max n 1) in
+  let pool_size = Stdlib.min requested (Stdlib.max (List.length experiments) 1) in
   let t0 = now () in
-  (* One atomic cell per job: the array itself is written only at creation,
-     and each result is published through its cell, so the hand-off to the
-     joining domain never relies on plain-array visibility (flagged by the
-     domain-capture analysis pass). *)
-  let results = Array.init n (fun _ -> Atomic.make None) in
-  (* Self-scheduling shard: each worker claims the next unclaimed index.
-     Assignment order is non-deterministic, but each job's result depends
-     only on (id, scale) — the seed is derived from the id — and results
-     land in registry order, so the report is identical for any pool. *)
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        Atomic.set results.(i) (Some (run_job ~scale experiments.(i)));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  if pool_size = 1 then worker ()
-  else begin
-    let domains = List.init (pool_size - 1) (fun _ -> Stdlib.Domain.spawn worker) in
-    worker ();
-    List.iter Stdlib.Domain.join domains
-  end;
-  let jobs =
-    Array.to_list
-      (Array.map
-         (fun cell ->
-           match Atomic.get cell with
-           | Some job -> job
-           (* unreachable: the workers only return once [next] has passed
-              [n], and each claimed index is filled before the next claim. *)
-           | None -> assert false)
-         results)
-  in
+  (* Each job's result depends only on (id, scale) — the seed is derived
+     from the id — and [run_job] never raises, so the report is identical
+     for any pool. *)
+  let jobs = Sim_engine.Pool.map ~jobs:pool_size (run_job ~scale) experiments in
   { jobs; pool_size; scale; total_seconds = now () -. t0 }
 
 (* ------------------------------------------------------------------ *)

@@ -13,10 +13,11 @@
       {!failures} (the CLI exits non-zero when it is non-empty).
     - {b Accounting}: per-job wall-clock and allocated bytes, plus a
       machine-readable JSON manifest ({!manifest_json}) for the
-      [BENCH_*.json] perf trajectory.  Allocation figures come from
-      [Gc.allocated_bytes] and are approximate when several domains run
-      concurrently.  There is no per-job CPU time: the process-wide CPU
-      clock would charge each job for its pool neighbours. *)
+      [BENCH_*.json] perf trajectory.  Allocation figures are the running
+      domain's own words (minor plus major less promoted, see {!job}), so
+      pool neighbours do not inflate them.  There is no per-job CPU time:
+      the process-wide CPU clock would charge each job for its pool
+      neighbours. *)
 
 module Manifest = Manifest
 (** Manifest reader + regression differ (see {!module-Manifest}). *)
@@ -47,20 +48,14 @@ type report = {
 val failures : report -> (string * string) list
 (** [(id, error)] for every failed job, registry order. *)
 
-val jobs_env_var : string
-(** ["DVFS_JOBS"]. *)
-
-val default_pool_size : unit -> int
-(** [$DVFS_JOBS] when set, else [Domain.recommended_domain_count ()] —
-    both captured once at program start by [Domconfig], the blessed
-    config loader, so the pool sizing is a constant of the run.
-    @raise Invalid_argument if [$DVFS_JOBS] is not a positive integer. *)
-
 val run_all :
   ?pool_size:int -> ?scale:float -> ?experiments:Experiments.Experiment.t list -> unit -> report
 (** Runs [experiments] (default: the full registry) on [pool_size] domains
-    (default: {!default_pool_size}, capped at the number of experiments).
-    @raise Invalid_argument on a non-positive [pool_size] or [scale]. *)
+    (default: [Domconfig.default_jobs ()], capped at the number of
+    experiments), through {!Sim_engine.Pool.map}.
+    @raise Invalid_argument on a non-positive [pool_size] or [scale], or
+    when [$DVFS_JOBS] is not a positive integer and [pool_size] is
+    omitted. *)
 
 val manifest_json : ?strip_timings:bool -> ?analyze_seconds:float -> report -> string
 (** JSON manifest (schema [dvfs-bench-manifest/2], which extends [/1] with

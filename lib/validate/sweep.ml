@@ -205,41 +205,9 @@ let default_grid =
 
 let run_grid ?(jobs = 1) ?horizon ?warmup ?tolerance ?mu_scale points =
   if jobs < 1 then invalid_arg "Sweep.run_grid: jobs must be positive";
-  let points = Array.of_list points in
-  let n = Array.length points in
-  (* One atomic cell per point, published by whichever worker claims the
-     index — the same hand-off pattern as Runner.run_all, so the result
-     list is in grid order for any pool size and each point's seed is a
+  (* Results in grid order for any pool size, and each point's seed is a
      pure function of its parameters. *)
-  let results = Array.init n (fun _ -> Atomic.make None) in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        Atomic.set results.(i)
-          (Some (run_point ?horizon ?warmup ?tolerance ?mu_scale points.(i)));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let pool = Stdlib.min jobs (Stdlib.max n 1) in
-  if pool = 1 then worker ()
-  else begin
-    let domains = List.init (pool - 1) (fun _ -> Stdlib.Domain.spawn worker) in
-    worker ();
-    List.iter Stdlib.Domain.join domains
-  end;
-  Array.to_list
-    (Array.map
-       (fun cell ->
-         match Atomic.get cell with
-         | Some r -> r
-         (* unreachable: workers return only once [next] has passed [n],
-            and each claimed index is filled before the next claim. *)
-         | None -> assert false)
-       results)
+  Pool.map ~jobs (run_point ?horizon ?warmup ?tolerance ?mu_scale) points
 
 let failures results = List.filter (fun r -> not r.pass) results
 

@@ -120,7 +120,7 @@ let roundtrip_pp () =
   check_bool "and short where they can" true (contains rendered "duration=600\n")
 
 (* The paper's scenario is a plain configuration: it prints, parses back
-   unchanged and therefore replays under xl_run. *)
+   unchanged and therefore replays under experiments_main xl. *)
 let scenario_config () =
   let spec = Experiments.Scenario.spec ~sched:Domconfig.Pas_sched ~load:Thrashing ~scale:0.1 () in
   let cfg = Experiments.Scenario.config spec in

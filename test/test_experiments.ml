@@ -67,22 +67,37 @@ let scenario_invalid_scale () =
   Alcotest.check_raises "scale" (Invalid_argument "Scenario.spec: scale must be positive")
     (fun () -> ignore (Scenario.spec ~scale:0.0 ()))
 
-(* The profile subcommand runs the figures' code: under fig4's
-   configuration it prints fig4's phase table and measured notes. *)
-let cli_profile_matches_fig4 () =
+(* ------------------------------------------------------------------ *)
+(* The experiments_main CLI *)
+
+(* Runs experiments_main with [args]: its exit code, stdout lines and
+   stderr text. *)
+let experiments_main args =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/experiments_main.exe"
   in
-  let output args =
-    let out = Filename.temp_file "experiments" ".txt" in
-    let code = Sys.command (Filename.quote_command exe args ~stdout:out) in
-    check_int (String.concat " " args) 0 code;
-    let text = In_channel.with_open_text out In_channel.input_all in
-    Sys.remove out;
-    String.split_on_char '\n' text
+  let out = Filename.temp_file "experiments" ".txt" in
+  let err = Filename.temp_file "experiments" ".err" in
+  let code = Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:err) in
+  let read path =
+    let text = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    text
   in
-  (* the summary table runs from below the title line to the first blank *)
-  let rec upto_blank = function "" :: _ | [] -> [] | l :: rest -> l :: upto_blank rest in
+  let stdout = read out in
+  (code, String.split_on_char '\n' stdout, read err)
+
+(* the lines from below the first one to the first blank *)
+let rec upto_blank = function "" :: _ | [] -> [] | l :: rest -> l :: upto_blank rest
+
+(* The profile subcommand runs the figures' code: under fig4's
+   configuration it prints fig4's phase table and measured notes. *)
+let cli_profile_matches_fig4 () =
+  let output args =
+    let code, lines, _ = experiments_main args in
+    check_int (String.concat " " args) 0 code;
+    lines
+  in
   let table lines = upto_blank (List.tl lines) in
   let notes lines = List.filter (String.starts_with ~prefix:"note: ") lines in
   let fig4 = output [ "run"; "fig4"; "--scale"; "0.1" ] in
@@ -98,6 +113,108 @@ let cli_profile_matches_fig4 () =
   Alcotest.(check (list string))
     "same measured notes" measured
     (List.filteri (fun i _ -> i >= skip) (notes fig4))
+
+(* xl replays each shipped scenario, and the configuration it prints
+   parses back to the file's own. *)
+let cli_xl_scenarios () =
+  List.iter
+    (fun name ->
+      let path = Filename.concat "../scenarios" name in
+      let code, lines, _ = experiments_main [ "xl"; path ] in
+      check_int path 0 code;
+      check_bool "a final-frequency note" true
+        (List.exists (String.starts_with ~prefix:"note: final frequency: ") lines);
+      let printed = String.concat "\n" (upto_blank (List.tl lines)) in
+      match (Domconfig.parse printed, Domconfig.parse_file path) with
+      | Ok again, Ok config -> check_bool (path ^ " round-trips") true (again = config)
+      | Error msg, _ | _, Error msg -> Alcotest.fail msg)
+    [ "v20_v70_credit.cfg"; "v20_v70_pas.cfg" ]
+
+let cli_xl_errors () =
+  let path = Filename.temp_file "bad" ".cfg" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "host duration=10\ndomain name=V20 credit=20 workload=web rate=-1\n");
+  let code, _, err = experiments_main [ "xl"; path ] in
+  Sys.remove path;
+  check_int "out-of-range value" 1 code;
+  check_bool ("located: " ^ err) true (String.starts_with ~prefix:(path ^ ": line 2:") err);
+  let code, _, _ = experiments_main [ "xl"; path ] in
+  check_int "missing file" 1 code
+
+let cli_validate () =
+  let code, _, _ = experiments_main [ "validate"; "--quiet"; "--horizon"; "30"; "--warmup"; "5" ] in
+  check_int "quick sweep agrees" 0 code;
+  let code, _, err = experiments_main [ "validate"; "--horizon=-1" ] in
+  check_int ("invalid horizon: " ^ err) 2 code
+
+(* ------------------------------------------------------------------ *)
+(* The domain pool *)
+
+(* Domain ids are handed out in sequence, so the gap between two fresh
+   ids counts the domains spawned in between. *)
+let fresh_domain_id () = (Domain.join (Domain.spawn Domain.self) :> int)
+
+let spawned_by f =
+  let before = fresh_domain_id () in
+  let result = f () in
+  (result, fresh_domain_id () - before - 1)
+
+let pool_map_order () =
+  let items = List.init 10 Fun.id in
+  (* earlier items work longer, so they finish out of order *)
+  let f i =
+    for _ = 1 to (10 - i) * 1000 do
+      Domain.cpu_relax ()
+    done;
+    i * i
+  in
+  List.iter
+    (fun jobs ->
+      let squares, spawned = spawned_by (fun () -> Pool.map ~jobs f items) in
+      Alcotest.(check (list int)) (Printf.sprintf "input order, %d jobs" jobs)
+        (List.map (fun i -> i * i) items) squares;
+      check_int "workers" (jobs - 1) spawned)
+    [ 1; 2; 4 ];
+  let _, spawned = spawned_by (fun () -> Pool.map ~jobs:4 f [ 1; 2 ]) in
+  check_int "no more workers than items" 1 spawned;
+  let none, spawned = spawned_by (fun () -> Pool.map ~jobs:4 f []) in
+  check_int "no items" 0 (List.length none);
+  check_int "no spawn for no items" 0 spawned;
+  Alcotest.check_raises "jobs" (Invalid_argument "Pool.map: jobs must be positive") (fun () ->
+      ignore (Pool.map ~jobs:0 f items))
+
+let pool_map_reraises_after_join () =
+  (* Item 1 outlives item 0's failure, whichever worker runs which; the
+     failure must surface only once item 1 is done. *)
+  for _ = 1 to 20 do
+    let started = Atomic.make false and raised = Atomic.make false in
+    let finished = Atomic.make false in
+    let f = function
+      | 0 ->
+          while not (Atomic.get started) do
+            Domain.cpu_relax ()
+          done;
+          Atomic.set raised true;
+          failwith "item 0"
+      | _ ->
+          Atomic.set started true;
+          while not (Atomic.get raised) do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to 10_000 do
+            Domain.cpu_relax ()
+          done;
+          Atomic.set finished true
+    in
+    Alcotest.check_raises "item 0's failure" (Failure "item 0") (fun () ->
+        ignore (Pool.map ~jobs:2 f [ 0; 1 ]));
+    check_bool "the other worker finished first" true (Atomic.get finished)
+  done;
+  Alcotest.check_raises "the first failure in input order" (Failure "3") (fun () ->
+      ignore
+        (Pool.map ~jobs:4
+           (fun i -> if i = 3 || i = 5 then failwith (string_of_int i))
+           (List.init 8 Fun.id)))
 
 (* ------------------------------------------------------------------ *)
 (* Registry and outputs *)
@@ -233,6 +350,17 @@ let () =
           Alcotest.test_case "pas exposed" `Quick scenario_pas_exposed;
           Alcotest.test_case "invalid scale" `Quick scenario_invalid_scale;
           Alcotest.test_case "profile command matches fig4" `Quick cli_profile_matches_fig4;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "xl replays the scenarios" `Quick cli_xl_scenarios;
+          Alcotest.test_case "xl errors" `Quick cli_xl_errors;
+          Alcotest.test_case "validate" `Quick cli_validate;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "input order and worker count" `Quick pool_map_order;
+          Alcotest.test_case "re-raise after join" `Quick pool_map_reraises_after_join;
         ] );
       ( "registry",
         [
