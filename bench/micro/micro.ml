@@ -17,7 +17,6 @@
 module Domain = Hypervisor.Domain
 module Scheduler = Hypervisor.Scheduler
 module Host = Hypervisor.Host
-module Smp_host = Hypervisor.Smp_host
 module Processor = Cpu_model.Processor
 module Sim_time = Sim_engine.Sim_time
 module Simulator = Sim_engine.Simulator
@@ -147,23 +146,25 @@ let bench_sample_tick () =
     ~reset:(fun () -> Host.Internal.reset_series host)
     (fun () -> Host.Internal.sample host ())
 
-let bench_smp_dispatch_tick () =
+(* One package of two cores: the multi-core share of the tick, the
+   per-domain vCPU cap included. *)
+let make_2core_host () =
   let sim = Simulator.create () in
-  let smp = Cpu_model.Smp.create ~cores:2 Cpu_model.Arch.optiplex_755 in
+  let processor = Processor.create ~cores:2 Cpu_model.Arch.optiplex_755 in
   let scheduler = Sched_credit.create ~host_capacity:2 (busy_domains ()) in
-  let host = Smp_host.create ~sim ~smp ~scheduler () in
-  measure ~name:"smp/dispatch-tick" ~ops:100_000 ~warmup:1_000 (fun () ->
-      Smp_host.Internal.dispatch_tick host ())
+  Host.create ~sim ~processor ~scheduler ()
 
-let bench_smp_sample_tick () =
-  let sim = Simulator.create () in
-  let smp = Cpu_model.Smp.create ~cores:2 Cpu_model.Arch.optiplex_755 in
-  let scheduler = Sched_credit.create ~host_capacity:2 (busy_domains ()) in
-  let host = Smp_host.create ~sim ~smp ~scheduler () in
+let bench_dispatch_tick_2core () =
+  let host = make_2core_host () in
+  measure ~name:"host/dispatch-tick-2core" ~ops:100_000 ~warmup:1_000 (fun () ->
+      Host.Internal.dispatch_tick host ())
+
+let bench_sample_tick_2core () =
+  let host = make_2core_host () in
   let ops = 100_000 in
-  measure ~name:"smp/sample-tick" ~ops ~warmup:ops
-    ~reset:(fun () -> Smp_host.Internal.reset_series host)
-    (fun () -> Smp_host.Internal.sample host ())
+  measure ~name:"host/sample-tick-2core" ~ops ~warmup:ops
+    ~reset:(fun () -> Host.Internal.reset_series host)
+    (fun () -> Host.Internal.sample host ())
 
 (* A 16-node cluster's queue, with room to spare: 80 periodic chains at
    the host periods (1 ms dispatch, 30 ms accounting, 100 ms window, 1 s
@@ -557,8 +558,8 @@ let all_benches =
     bench_dispatch_tick_capped;
     bench_dispatch_tick_dense;
     bench_sample_tick;
-    bench_smp_dispatch_tick;
-    bench_smp_sample_tick;
+    bench_dispatch_tick_2core;
+    bench_sample_tick_2core;
     bench_sim_rearm;
     bench_sim_pop;
     bench_record_busy;
@@ -598,8 +599,8 @@ let zero_alloc_roots =
     ("host/dispatch-tick-capped", "Host.dispatch_tick");
     ("host/dispatch-tick-dense", "Host.dispatch_tick");
     ("host/sample-tick", "Host.sample");
-    ("smp/dispatch-tick", "Smp_host.dispatch_tick");
-    ("smp/sample-tick", "Smp_host.sample");
+    ("host/dispatch-tick-2core", "Host.dispatch_tick");
+    ("host/sample-tick-2core", "Host.sample");
     ("sim/heap-rearm", "Simulator.rearm");
     ("sim/heap-pop", "Simulator.pop");
     ("power/record-busy", "Power.Meter.record_busy");

@@ -147,7 +147,9 @@ let evaluate t ~now ~busy_fraction =
 
 let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) ~processor
     domains =
-  let credit_state = Sched_credit.make ~account_period domains in
+  let credit_state =
+    Sched_credit.make ~account_period ~host_capacity:(Processor.cores processor) domains
+  in
   let credit = Sched_credit.scheduler credit_state in
   let table = Processor.freq_table processor in
   let calibration = (Processor.arch processor).Cpu_model.Arch.calibration in

@@ -28,7 +28,10 @@ val create :
   Hypervisor.Domain.t list ->
   t
 (** [window] is the utilization sampling period (default 100 ms);
-    [account_period] is forwarded to the underlying Credit scheduler. *)
+    [account_period] is forwarded to the underlying Credit scheduler, and
+    so is the processor's core count, as its [host_capacity].  PAS runs
+    on a host of one frequency domain, [processor]; on several cores it
+    reads the busy fraction averaged over them. *)
 
 val scheduler : t -> Hypervisor.Scheduler.t
 (** Plug this into {!Hypervisor.Host.create}; no separate governor is needed

@@ -8,6 +8,7 @@ type level = { freq : Frequency.mhz; ratio : float; cf : float; speed : float }
 
 type t = {
   arch : Arch.t;
+  cores : int;
   cpufreq : Cpufreq.t;
   meter : Power.Meter.t;
   levels : level array;
@@ -25,7 +26,8 @@ let speed_in arch f =
 
 let speed_at t f = speed_in t.arch f
 
-let create ?init_freq arch =
+let create ?init_freq ?(cores = 1) ?power arch =
+  if cores < 1 then invalid_arg "Processor.create: cores must be >= 1";
   let table = arch.Arch.freq_table in
   let init = match init_freq with Some f -> f | None -> Frequency.max_freq table in
   let cpufreq = Cpufreq.create ~freq_table:table ~init in
@@ -42,13 +44,18 @@ let create ?init_freq arch =
   in
   {
     arch;
+    cores;
     cpufreq;
-    meter = Power.Meter.create (Power.of_arch arch) table;
+    meter =
+      Power.Meter.create ~cores
+        (match power with Some m -> m | None -> Power.of_arch arch)
+        table;
     levels;
     level = levels.(Frequency.index_of table init);
   }
 
 let arch t = t.arch
+let cores t = t.cores
 let cpufreq t = t.cpufreq
 
 (* [Cpufreq.set] clamps the request to the table, so [level] must follow

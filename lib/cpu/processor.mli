@@ -1,16 +1,24 @@
 (** A simulated processor: architecture + cpufreq driver + energy meter.
+    It is one frequency domain: [cores] identical cores that always run at
+    the same frequency (one package under per-package DVFS, one core under
+    per-core DVFS).
 
-    Work is measured in {e absolute seconds}: one unit is what the processor
+    Work is measured in {e absolute seconds}: one unit is what a core
     completes in one second of wall time at its maximum frequency.  At a
-    lower frequency [f] the processor delivers [ratio_f * cf_f] units per
+    lower frequency [f] each core delivers [ratio_f * cf_f] units per
     second — the paper's ground-truth performance law (eq. (1)/(2)). *)
 
 type t
 
-val create : ?init_freq:Frequency.mhz -> Arch.t -> t
-(** The initial frequency defaults to the architecture's maximum. *)
+val create : ?init_freq:Frequency.mhz -> ?cores:int -> ?power:Power.model -> Arch.t -> t
+(** The initial frequency defaults to the architecture's maximum, [cores]
+    to 1 and [power] to [Power.of_arch arch].  The energy meter prices
+    the whole package at this domain's frequency, its utilization spread
+    over [cores].
+    @raise Invalid_argument if [cores < 1]. *)
 
 val arch : t -> Arch.t
+val cores : t -> int
 val freq_table : t -> Frequency.table
 val cpufreq : t -> Cpufreq.t
 
@@ -49,8 +57,9 @@ val record_power : t -> dt:Sim_time.t -> util:float -> unit
 (** Accounts energy for an interval at the current frequency. *)
 
 val record_busy : t -> dt:Sim_time.t -> busy:Sim_time.t -> unit
-(** [record_power] with the utilization derived as [busy / dt] inside the
-    meter, so the per-tick accounting path passes no freshly boxed float. *)
+(** [record_power] with the utilization derived as [busy / (cores * dt)]
+    inside the meter ([busy] summed over the cores), so the per-tick
+    accounting path passes no freshly boxed float. *)
 
 val energy_joules : t -> float
 val mean_watts : t -> float

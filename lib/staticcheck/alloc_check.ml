@@ -194,8 +194,8 @@ let alloc_prefixes =
 (* Scanned functions whose result is a freshly computed float: calling
    them across a compilation-unit boundary boxes the return under
    [-opaque] (the dev profile).  Functions returning an already-boxed float (cached
-   [Processor.speed]/[ratio]/[cf] fields, [Smp.speed_of_core]) do not
-   allocate and are deliberately absent. *)
+   [Processor.speed]/[ratio]/[cf] fields) do not allocate and are
+   deliberately absent. *)
 let float_returning =
   [
     "Sim_time.to_sec"; "Sim_time.to_ms";

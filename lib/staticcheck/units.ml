@@ -154,15 +154,12 @@ let builtin =
     e [ "Cpufreq"; "set" ] ~positional:[ (1, Mhz) ];
     e [ "Cpufreq"; "mean_frequency" ] ~result:Mhz;
     e [ "Cpufreq"; "residency_ratio" ] ~positional:[ (1, Mhz) ] ~result:Frac;
-    (* lib/core/pas_sched.mli / pas_smp.mli *)
+    (* lib/core/pas_sched.mli *)
     e [ "Pas_sched"; "last_absolute_load" ] ~result:Pct;
     e [ "Pas_sched"; "effective_credit" ] ~result:Credits;
-    e [ "Pas_smp"; "last_absolute_load" ] ~result:Pct;
-    e [ "Pas_smp"; "effective_credit" ] ~result:Credits;
     (* lib/cpu/power.mli *)
     e [ "Power"; "model" ] ~labels:[ ("idle_watts", Watts); ("max_watts", Watts) ];
     e [ "Power"; "watts" ] ~labels:[ ("freq", Mhz); ("util", Frac) ] ~result:Watts;
-    e [ "Power"; "voltage_ratio" ] ~positional:[ (2, Mhz) ] ~result:Frac;
     e [ "Meter"; "record" ] ~labels:[ ("freq", Mhz); ("util", Frac) ];
     e [ "Meter"; "joules" ] ~result:Joules;
     e [ "Meter"; "mean_watts" ] ~result:Watts;

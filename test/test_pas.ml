@@ -324,6 +324,109 @@ let daemon_stop () =
   Host.run_for host (sec 5);
   check_float "credit untouched" 20.0 (scheduler.Scheduler.effective_credit v20)
 
+(* ------------------------------------------------------------------ *)
+(* Metamorphic: PAS on a one-level P-state table is Credit *)
+
+(* With a single P-state, ratio and cf are 1 at every evaluation: Listing
+   1.1 keeps the only frequency and Listing 1.2 sets every effective
+   credit to its initial one.  So PAS must leave a run exactly as plain
+   Credit leaves it, bit for bit, whatever the guests. *)
+let one_level =
+  {
+    optiplex with
+    Cpu_model.Arch.name = "one P-state";
+    freq_table = Frequency.create [ 2667 ];
+    calibration = Calibration.ideal;
+  }
+
+type guest = Busy | Idle | Web of float | Pi of float * float
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let guest =
+    oneof
+      [
+        return Busy;
+        return Idle;
+        map (fun r -> Web (0.5 +. (0.5 *. float_of_int r))) (int_range 0 40);
+        map2
+          (fun w d -> Pi (float_of_int w, 0.1 *. float_of_int d))
+          (int_range 1 20) (int_range 1 10);
+      ]
+  in
+  let credit = map float_of_int (oneof [ return 0; int_range 1 100 ]) in
+  pair (int_range 2 15) (list_size (int_range 1 6) (pair guest credit))
+
+let print_scenario (seconds, guests) =
+  Printf.sprintf "%d s: %s" seconds
+    (String.concat "; "
+       (List.map
+          (fun (g, credit) ->
+            (match g with
+            | Busy -> "busy"
+            | Idle -> "idle"
+            | Web rate -> Printf.sprintf "web %g/s" rate
+            | Pi (work, duty) -> Printf.sprintf "pi %g s at %g" work duty)
+            ^ Printf.sprintf " @ %g%%" credit)
+          guests))
+
+(* Everything a run leaves: energy, per-domain CPU time, the apps'
+   counters and the host's series. *)
+let run_one_level ~pas (seconds, guests) =
+  let buf = Buffer.create 1024 in
+  let report = ref [] in
+  let dom0 = Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workload.idle ()) in
+  let guests =
+    List.mapi
+      (fun i (g, credit) ->
+        let w =
+          match g with
+          | Busy -> Workload.busy_loop ()
+          | Idle -> Workload.idle ()
+          | Web rate ->
+              let app =
+                Workloads.Web_app.create ~rate_schedule:(Workloads.Phases.constant ~rate) ()
+              in
+              report :=
+                (fun () ->
+                  let module W = Workloads.Web_app in
+                  Printf.bprintf buf "web %d %d %d %h\n" (W.injected_requests app)
+                    (W.completed_requests app) (W.timed_out_requests app)
+                    (Stats.Running.mean (W.response_times app)))
+                :: !report;
+              Workloads.Web_app.workload app
+          | Pi (work, duty_cycle) ->
+              let app = Workloads.Pi_app.create ~duty_cycle ~work () in
+              report :=
+                (fun () -> Printf.bprintf buf "pi %h\n" (Workloads.Pi_app.remaining_work app))
+                :: !report;
+              Workloads.Pi_app.workload app
+        in
+        Domain.create ~name:(Printf.sprintf "g%d" i) ~credit_pct:credit w)
+      guests
+  in
+  let domains = dom0 :: guests in
+  let processor = Processor.create one_level in
+  let scheduler =
+    if pas then Pas.Pas_sched.scheduler (Pas.Pas_sched.create ~processor domains)
+    else Sched_credit.create domains
+  in
+  let host = Host.create ~sim:(Simulator.create ()) ~processor ~scheduler () in
+  Host.run_for host (sec seconds);
+  Printf.bprintf buf "energy=%h\n" (Host.energy_joules host);
+  List.iter
+    (fun d -> Printf.bprintf buf "%s cpu=%d\n" (Domain.name d) (Sim_time.to_us (Domain.cpu_time d)))
+    domains;
+  List.iter (fun f -> f ()) (List.rev !report);
+  Buffer.add_string buf (Series.Frame.to_csv (Host.frame host));
+  Buffer.contents buf
+
+let pas_is_credit_at_one_level scenario =
+  let credit = run_one_level ~pas:false scenario and pas = run_one_level ~pas:true scenario in
+  if not (String.equal credit pas) then
+    QCheck.Test.fail_reportf "PAS and Credit differ on %s" (print_scenario scenario);
+  true
+
 let () =
   Alcotest.run "pas"
     [
@@ -360,5 +463,11 @@ let () =
           Alcotest.test_case "credit manager" `Quick credit_manager_compensates;
           Alcotest.test_case "full manager" `Quick full_manager_sets_both;
           Alcotest.test_case "stop" `Quick daemon_stop;
+        ] );
+      ( "metamorphic",
+        [
+          qtest "pas equals credit at one p-state"
+            (QCheck.make ~print:print_scenario gen_scenario)
+            pas_is_credit_at_one_level;
         ] );
     ]
